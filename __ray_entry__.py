@@ -218,7 +218,7 @@ def _run_extract_sftext(sf_dir: str) -> Any:
     reassembles in order — so n_spans_out == ceil(n_tokens/32) (1 for empty
     text) is derivable by the DuckDB twin from documents.parquet, giving the
     driver a rows+schema+hash gate on the REAL extraction code path (same
-    explode -> span stage -> shuffle -> assemble as extract_receipts)."""
+    explode -> span kernels -> assemble as extract_receipts)."""
     from documentprocessor_ray.pipelines.extract import run_extraction
 
     n_docs = max(40, int(4000 * _sf_of(sf_dir)))

@@ -5,11 +5,12 @@ Prints ONE JSON line:
    "queries": {name: sec, ...}, "sf": <sf>, "num_cpus": N,
    "docs_per_sec": <headline throughput>, ...}
 
-Env: GRAFT_SF_DIR (default /root/testdata/sf0.1), RAY_GRAFT_CPUS (default 32).
+Env: GRAFT_SF_DIR (default /root/testdata/sf0.1), RAY_GRAFT_CPUS (default:
+the CPUs this process may run on).
 
 --scaling runs the headline extraction job twice in FRESH subprocesses at
-num_cpus=8 and num_cpus=32 on the same corpus and reports both throughputs
-plus scaling efficiency = (docs_per_sec_32 / docs_per_sec_8) / 4 — the
+num_cpus=1 and num_cpus=4 on the same corpus and reports both throughputs
+plus scaling efficiency = (docs_per_sec_4 / docs_per_sec_1) / 4 — the
 sandbox stand-in for the N- vs 4N-node cluster criterion (BASELINE.md).
 """
 
@@ -57,7 +58,7 @@ BENCH_QUERIES = [
     "link_triangles", "incremental_neardup", "pca_project",
     "image_features", "audio_features", "audio_spectral", "audio_mfcc",
     "gif_framesample", "video_framesample",
-    "image_edges", "video_motion", "audio_mfcc",
+    "image_edges", "video_motion",
     "image_phash_pairs",
     "pricing_summary", "top_customers", "order_revenue_join", "line_flag_share", "bloom_prefilter",
     "events_rollup", "event_users_hll", "event_heavy_hitters", "events_tumbling", "events_hopping",
@@ -206,7 +207,7 @@ def run_scaling(sf_dir: str, low: int, high: int) -> dict:
     (ray.init, first-task module import) are excluded by design."""
     import __ray_entry__ as E
 
-    # 2x the per-round corpus: enough tasks (spans/batch_size >> high_cpus)
+    # 2x the per-round corpus: enough tasks (docs/batch_size >> high_cpus)
     # that tail imbalance doesn't read as poor scaling
     n_docs = max(800, int(80000 * E._sf_of(sf_dir)))
     results = {}
@@ -238,9 +239,10 @@ def main():
     ap.add_argument("--scaling", action="store_true")
     ap.add_argument("--headline-only", action="store_true")
     ap.add_argument("--cpus", type=int,
-                    default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-    ap.add_argument("--scaling-low", type=int, default=8)
-    ap.add_argument("--scaling-high", type=int, default=32)
+                    default=int(os.environ.get("RAY_GRAFT_CPUS")
+                                or len(os.sched_getaffinity(0))))
+    ap.add_argument("--scaling-low", type=int, default=1)
+    ap.add_argument("--scaling-high", type=int, default=4)
     ap.add_argument("--docs", type=int, default=0)
     ap.add_argument("--reps", type=int,
                     default=int(os.environ.get("RAY_GRAFT_REPS", "3")))

@@ -1,28 +1,27 @@
 """Flagship Ray-Data extraction pipeline.
 
-Physical plan (SURVEY.md section 4.3):
+Physical plan (default):
 
     read_parquet(documents)                      # (doc_id, spans) per input_hint
-      -> map_batches(explode_spans)              # row per span + cost proxy
-      -> repartition(target_blocks)              # spread spans for parallelism;
-                                                 #   a 50-media-span doc becomes 50
-                                                 #   independent rows, so heavy docs
-                                                 #   cannot straggle one worker (skew
-                                                 #   handled by per-span parallelism +
-                                                 #   batch-granular actor scheduling)
-      -> map_batches(SpanProcessor, concurrency=N, batch_size=B)
-                                                 # stateful actor pool: OCR kernel
-                                                 #   templates + preprocess config
-                                                 #   loaded once per actor (A1-A3);
-                                                 #   text spans take the normalize path
-      -> groupby(doc_id).map_groups(assemble)    # the only all-to-all shuffle: hash
-                                                 #   on doc_id to rebuild documents
+      -> map_batches(span_task, batch_size=B)    # B whole documents per task:
+                                                 #   explode_spans -> span kernels
+                                                 #   -> assemble_bucket (SpanProcessor)
       -> result rows (spans_out invariant + heuristic fields)
 
+There is no all-to-all: a document never leaves its batch, so reassembly
+sees every fragment of it in the task that produced them. ``B`` counts
+documents (DOCS_PER_SPAN_TASK), so the read stays a separate operator and
+the span stage gets many small tasks to spread over the CPUs.
+
+The opt-in skew route (``split_heavy_cost``) keeps the span-level plan:
+explode -> per-span cost -> light/heavy batches -> span kernels ->
+groupby(pkey) -> assemble_bucket, one shuffle on coarse doc-hash buckets.
+
 Every stage is Arrow-native (batch_format="pyarrow"); per-page OCR is numpy
-inside the actor. The `order` invariant is carried as data (an explicit
+inside the UDF. The `order` invariant is carried as data (an explicit
 column derived from span offset + reading-order line index), never as block
-order, so shuffles cannot break it (SURVEY.md section 7.4).
+order, so neither batching nor the shuffle can break it (SURVEY.md
+section 7.4).
 """
 
 from __future__ import annotations
@@ -100,19 +99,27 @@ RESULT_SCHEMA = pa.schema([
 # + accumulated normalized words, for the downstream scorer stage
 RESULT_SCHEMA_WORDS = RESULT_SCHEMA.append(pa.field("words", pa.list_(WORD_STRUCT)))
 
-# Per-bucket memory budget for the reassembly shuffle, in DOCUMENTS: a bucket
-# is materialized by one map_groups call, so this bounds reducer heap use.
+# Documents per span task in the default plan (build_pipeline's batch_size).
+# A doc count, never None: None lets Ray fuse the read into the span task.
+# 16 beat 8 on both perfbench workloads (4-core VM); below 8, per-task and
+# driver-memory overhead grow faster than the parallelism pays.
+DOCS_PER_SPAN_TASK = 16
+
+# Per-bucket memory budget for the split_heavy_cost route's reassembly
+# shuffle, in DOCUMENTS: a bucket is materialized by one map_groups call, so
+# this bounds reducer heap use.
 DOCS_PER_BUCKET = 4096
 
 
 def explode_spans(batch: pa.Table, num_buckets: int = 64) -> pa.Table:
     """(doc_id, spans) -> one row per span; empty-span docs get a sentinel row
     (kind='empty', offset=-1) so reassembly preserves them. Each row carries
-    pkey = crc32(doc_id) % num_buckets — the reassembly shuffle key: grouping
-    on coarse buckets instead of per-doc keys keeps the groupby's per-group
-    overhead off the hot path (docs are re-separated vectorized inside the
-    bucket); the bucket count scales with data size (sharding.auto_buckets
-    via build_pipeline), bounding what one map_groups call materializes.
+    pkey = crc32(doc_id) % num_buckets — the split_heavy_cost route's
+    shuffle key: grouping on coarse buckets instead of per-doc keys keeps
+    the groupby's per-group overhead off the hot path (docs are
+    re-separated vectorized inside the bucket); the bucket count scales
+    with data size (sharding.auto_buckets via build_pipeline), bounding
+    what one map_groups call materializes.
 
     Zero-copy explode: pyarrow list_flatten / list_parent_indices unnest the
     span structs in C++; the only Python loop is one crc32 per DOC (not per
@@ -158,14 +165,22 @@ def explode_spans(batch: pa.Table, num_buckets: int = 64) -> pa.Table:
 
 
 class SpanProcessor:
-    """Unified span stage: text spans -> normalize path; media spans ->
-    preprocess + OCR + box-normalize. Actor pool so the OCR templates and
-    preprocess config load once per worker (reference lazy singletons,
-    receipt_processor.py:50-54, become __init__ state)."""
+    """The flagship's one span-stage UDF. With ``whole_docs`` (the default
+    plan) it takes a batch of whole documents and returns their result
+    rows: explode_spans -> span kernels -> assemble_bucket. Without it (the
+    ``split_heavy_cost`` route) it takes exploded span rows and returns
+    processed span rows, reassembled after that route's shuffle.
+
+    Span kernels: text spans -> normalize path; html -> boilerplate strip;
+    pdf -> layout parse; media -> preprocess + OCR + box-normalize. The OCR
+    templates and preprocess config load once per instance: once per actor,
+    or once per worker process through ``span_task`` (reference lazy
+    singletons, receipt_processor.py:50-54, become __init__ state)."""
 
     def __init__(self, media_dir: str, cfg: Optional[PreprocessConfig] = None,
                  debug_dir: Optional[str] = None, log_dir: Optional[str] = None,
-                 engine=None, html_mode: str = "blocks"):
+                 engine=None, html_mode: str = "blocks",
+                 keep_words: bool = False, whole_docs: bool = True):
         from ..ocr_kernel import get_engine
 
         self.store = MediaStore(media_dir)
@@ -181,8 +196,17 @@ class SpanProcessor:
         if html_mode not in ("blocks", "dom"):
             raise ValueError(f"html_mode must be blocks|dom, got {html_mode}")
         self.html_mode = html_mode
+        self.keep_words = keep_words
+        self.whole_docs = whole_docs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if not self.whole_docs:
+            return self.process_spans(batch)
+        return assemble_bucket(self.process_spans(explode_spans(batch)),
+                               keep_words=self.keep_words)
+
+    def process_spans(self, batch: pa.Table) -> pa.Table:
+        """Exploded span rows -> processed span rows (SPAN_ROW_SCHEMA)."""
         n = batch.num_rows
         out: Dict[str, List[Any]] = {
             "doc_id": batch["doc_id"].to_pylist(),
@@ -279,21 +303,17 @@ class SpanProcessor:
 _PROCESSOR_CACHE: Dict[tuple, "SpanProcessor"] = {}
 
 
-def _cached_processor(media_dir: str, cfg: Optional["PreprocessConfig"],
-                      debug_dir: Optional[str] = None,
-                      log_dir: Optional[str] = None,
-                      engine=None,
-                      html_mode: str = "blocks") -> "SpanProcessor":
+def span_task(batch: pa.Table, **processor_kwargs) -> pa.Table:
+    """The task-pool span stage: this worker process's cached SpanProcessor
+    (built from ``processor_kwargs``) over one batch."""
     from ..ocr_kernel import engine_key
 
-    key = (media_dir, repr(cfg), debug_dir, log_dir, engine_key(engine),
-           html_mode)
+    key = tuple(sorted((k, engine_key(v) if k == "engine" else repr(v))
+                       for k, v in processor_kwargs.items()))
     proc = _PROCESSOR_CACHE.get(key)
     if proc is None:
-        proc = _PROCESSOR_CACHE[key] = SpanProcessor(
-            media_dir, cfg, debug_dir, log_dir, engine=engine,
-            html_mode=html_mode)
-    return proc
+        proc = _PROCESSOR_CACHE[key] = SpanProcessor(**processor_kwargs)
+    return proc(batch)
 
 
 def _field_to_struct(f: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
@@ -308,13 +328,12 @@ def _field_to_struct(f: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
 
 
 def assemble_bucket(group: pa.Table, keep_words: bool = False) -> pa.Table:
-    """Reassemble every document in one shuffle bucket: Arrow-native sort by
-    (doc_id, offset) (C++ sort, no Python row dicts), numpy run-boundary
-    segmentation, then each contiguous doc segment rebuilt from column
-    slices — one UDF call per bucket, one column->Python conversion per
-    bucket (not one dict per row)."""
-    import pyarrow.compute as pc  # noqa: F401  (kept for future kernels)
-
+    """Reassemble every document in a table of processed span rows that
+    holds all fragments of each of its documents (a doc batch, or a shuffle
+    bucket): Arrow-native sort by (doc_id, offset) (C++ sort, no Python row
+    dicts), numpy run-boundary segmentation, then each contiguous doc
+    segment rebuilt from column slices — one column->Python conversion per
+    call (not one dict per row)."""
     g = group.sort_by([("doc_id", "ascending"), ("offset", "ascending")])
     n = g.num_rows
     schema = RESULT_SCHEMA_WORDS if keep_words else RESULT_SCHEMA
@@ -420,7 +439,7 @@ def build_pipeline(
     media_dir: str,
     cfg: Optional[PreprocessConfig] = None,
     concurrency: Optional[int] = None,
-    batch_size: int = 64,
+    batch_size: int = DOCS_PER_SPAN_TASK,
     target_blocks: Optional[int] = None,
     use_actors: bool = False,
     keep_words: bool = False,
@@ -432,62 +451,33 @@ def build_pipeline(
     engine=None,
     html_mode: str = "blocks",
 ) -> "ray.data.Dataset":
-    """Compose the lazy pipeline over an already-loaded documents Dataset.
+    """Compose the lazy pipeline over an already-loaded documents Dataset:
+    by default ``read -> map_batches(span_task)`` with ``batch_size`` whole
+    documents per task and no all-to-all (module docstring).
 
     use_actors=False (default): the span stage runs on Ray's task pool with a
     per-worker-process cached SpanProcessor — our kernel state is module
     constants, so tasks amortize it identically to an actor pool while
     skipping actor startup (measured 3-5x faster end-to-end at this state
-    size). use_actors=True switches to an autoscaling actor pool
-    (min 1, max CPUs-1, one CPU of headroom so the read and groupby stages
-    never starve — a full-width pool deadlocks the streaming executor into
+    size). use_actors=True runs the same SpanProcessor in an autoscaling
+    actor pool (min 1, max CPUs-1, one CPU of headroom so the read never
+    starves — a full-width pool deadlocks the streaming executor into
     timeout at small CPU counts): the right shape once the kernel holds
     heavy state (real model weights), cf. reference lazy singletons
     (receipt_processor.py:50-54).
 
-    The reassembly shuffle width (num_buckets) scales with data/cluster size
-    via sharding.auto_buckets; ``size_hint`` is the input DOC count (a
-    metadata-only ``count()`` on a fresh parquet read). One bucket holds
-    <= ~DOCS_PER_BUCKET documents regardless of corpus size, so the
-    per-bucket map_groups materialization is bounded at any scale.
+    ``split_heavy_cost`` takes the span-level route, whose reassembly
+    shuffle width (num_buckets) scales with data/cluster size via
+    sharding.auto_buckets; ``size_hint`` is the input DOC count (counted
+    here when not given). One bucket holds <= ~DOCS_PER_BUCKET documents
+    regardless of corpus size, so the per-bucket map_groups
+    materialization is bounded at any scale.
     """
-    from ..sharding import auto_buckets
-
-    if num_buckets is None:
-        num_buckets = auto_buckets(size_hint, rows_per_bucket=DOCS_PER_BUCKET)
-    spans = docs.map_batches(explode_spans, batch_format="pyarrow",
-                             fn_kwargs={"num_buckets": num_buckets})
-    if target_blocks:
-        spans = spans.repartition(target_blocks)
-    if split_heavy_cost is not None:
-        # Skew-aware two-path routing (SURVEY.md §4.2): per-span cost proxy =
-        # stored media bytes (compressed size tracks pixel complexity; text
-        # spans cost their length). Spans above the threshold take a
-        # batch_size=1 path so one giant page never rides in a batch with 15
-        # others — the batch, not the document, is the unit of work, and this
-        # caps its worst case. Both paths share the same UDF and re-unite
-        # before the reassembly shuffle, so output is invariant.
-        import os as _os
-
-        def add_cost(batch: pa.Table, _m=media_dir) -> pa.Table:
-            costs = []
-            for kind, text, ref in zip(batch["kind"].to_pylist(),
-                                       batch["text"].to_pylist(),
-                                       batch["media_ref"].to_pylist()):
-                if kind == "media":
-                    cost = 0  # missing ref -> error channel later
-                    for ext in (".npz8", ".npy"):  # legacy .npy fallback
-                        try:
-                            cost = _os.path.getsize(_os.path.join(_m, ref + ext))
-                            break
-                        except OSError:
-                            continue
-                    costs.append(cost)
-                else:
-                    costs.append(len(text or ""))
-            return batch.append_column("cost", pa.array(costs, pa.int64()))
-
-        spans = spans.map_batches(add_cost, batch_format="pyarrow")
+    proc_kwargs = {"media_dir": media_dir, "cfg": cfg,
+                   "debug_dir": debug_dir, "log_dir": log_dir,
+                   "engine": engine, "html_mode": html_mode,
+                   "keep_words": keep_words,
+                   "whole_docs": split_heavy_cost is None}
     if use_actors:
         if concurrency is None:
             try:
@@ -497,44 +487,62 @@ def build_pipeline(
             except Exception:
                 total = 4
             concurrency = (1, max(1, total - 1))
-        actor_kwargs = dict(
-            fn_constructor_kwargs={"media_dir": media_dir, "cfg": cfg,
-                                   "debug_dir": debug_dir, "log_dir": log_dir,
-                                   "engine": engine, "html_mode": html_mode},
-            batch_format="pyarrow",
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-        if split_heavy_cost is not None:
-            # same heavy/light routing as the task path (the flag was
-            # previously a silent no-op with actors): heavy spans ride
-            # batch_size=1 so one giant page never shares a batch
-            light = spans.filter(expr=f"cost <= {int(split_heavy_cost)}")
-            heavy = spans.filter(expr=f"cost > {int(split_heavy_cost)}")
-            processed = light.map_batches(
-                SpanProcessor, batch_size=batch_size, **actor_kwargs,
-            ).union(heavy.map_batches(
-                SpanProcessor, batch_size=1, **actor_kwargs))
-        else:
-            processed = spans.map_batches(
-                SpanProcessor, batch_size=batch_size, **actor_kwargs)
+        udf, udf_kwargs = SpanProcessor, dict(
+            fn_constructor_kwargs=proc_kwargs, concurrency=concurrency,
+            num_cpus=1)
     else:
-        def span_task(batch: pa.Table, _m=media_dir, _c=cfg,
-                      _d=debug_dir, _l=log_dir, _e=engine,
-                      _h=html_mode) -> pa.Table:
-            return _cached_processor(_m, _c, _d, _l, engine=_e,
-                                     html_mode=_h)(batch)
+        udf, udf_kwargs = span_task, dict(fn_kwargs=proc_kwargs)
 
-        if split_heavy_cost is not None:
-            light = spans.filter(expr=f"cost <= {int(split_heavy_cost)}")
-            heavy = spans.filter(expr=f"cost > {int(split_heavy_cost)}")
-            processed = light.map_batches(
-                span_task, batch_format="pyarrow", batch_size=batch_size,
-            ).union(heavy.map_batches(
-                span_task, batch_format="pyarrow", batch_size=1))
-        else:
-            processed = spans.map_batches(
-                span_task, batch_format="pyarrow", batch_size=batch_size)
+    def span_stage(ds: "ray.data.Dataset", rows: int) -> "ray.data.Dataset":
+        return ds.map_batches(udf, batch_format="pyarrow", batch_size=rows,
+                              **udf_kwargs)
+
+    if split_heavy_cost is None:
+        if target_blocks:
+            docs = docs.repartition(target_blocks)
+        return span_stage(docs, batch_size)
+
+    from ..sharding import auto_buckets
+
+    if num_buckets is None:
+        num_buckets = auto_buckets(
+            docs.count() if size_hint is None else size_hint,
+            rows_per_bucket=DOCS_PER_BUCKET)
+    spans = docs.map_batches(explode_spans, batch_format="pyarrow",
+                             fn_kwargs={"num_buckets": num_buckets})
+    if target_blocks:
+        spans = spans.repartition(target_blocks)
+    # Skew-aware two-path routing (SURVEY.md §4.2): per-span cost proxy =
+    # stored media bytes (compressed size tracks pixel complexity; text
+    # spans cost their length). Spans above the threshold take a
+    # batch_size=1 path so one giant page never rides in a batch with 15
+    # others — the batch, not the document, is the unit of work, and this
+    # caps its worst case. Both paths share the same UDF and re-unite
+    # before the reassembly shuffle, so output is invariant.
+    import os as _os
+
+    def add_cost(batch: pa.Table, _m=media_dir) -> pa.Table:
+        costs = []
+        for kind, text, ref in zip(batch["kind"].to_pylist(),
+                                   batch["text"].to_pylist(),
+                                   batch["media_ref"].to_pylist()):
+            if kind == "media":
+                cost = 0  # missing ref -> error channel later
+                for ext in (".npz8", ".npy"):  # legacy .npy fallback
+                    try:
+                        cost = _os.path.getsize(_os.path.join(_m, ref + ext))
+                        break
+                    except OSError:
+                        continue
+                costs.append(cost)
+            else:
+                costs.append(len(text or ""))
+        return batch.append_column("cost", pa.array(costs, pa.int64()))
+
+    spans = spans.map_batches(add_cost, batch_format="pyarrow")
+    light = spans.filter(expr=f"cost <= {int(split_heavy_cost)}")
+    heavy = spans.filter(expr=f"cost > {int(split_heavy_cost)}")
+    processed = span_stage(light, batch_size).union(span_stage(heavy, 1))
     return processed.groupby("pkey").map_groups(
         lambda g: assemble_bucket(g, keep_words=keep_words), batch_format="pyarrow")
 
@@ -554,7 +562,6 @@ def run_extraction(
     from ..sources.sinks import write_results
 
     docs = read_table_auto(documents_dir, fmt=input_format)
-    kwargs.setdefault("size_hint", docs.count())  # metadata-only on a fresh read
     ds = build_pipeline(docs.select_columns(["doc_id", "spans"]), media_dir, **kwargs)
     if output_dir:
         write_results(ds, output_dir, fmt=output_format)
@@ -592,7 +599,6 @@ def run_scored_extraction(
     from ..stages.scorer import ScorerStage
 
     docs = ray.data.read_parquet(documents_dir)
-    kwargs.setdefault("size_hint", docs.count())  # metadata-only on a fresh read
     # pixels mode reads only spans_out + the media store — don't assemble
     # and ship the (heavy) per-doc word structs it would never look at
     ds = build_pipeline(docs.select_columns(["doc_id", "spans"]), media_dir,

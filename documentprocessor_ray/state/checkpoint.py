@@ -136,12 +136,10 @@ def run_partitioned(
                 os.remove(stale_manifest)
             shutil.rmtree(part_out_pre)
         in_path = os.path.join(documents_dir, part)
-        raw = ray.data.read_parquet(in_path)
-        n_docs = raw.count()  # metadata-only on a fresh read
-        docs = raw.select_columns(["doc_id", "spans"])
+        docs = ray.data.read_parquet(in_path).select_columns(
+            ["doc_id", "spans"])
         ds = build_pipeline(docs, media_dir, cfg=cfg, batch_size=batch_size,
-                            html_mode=html_mode,
-                            size_hint=n_docs, use_actors=use_actors,
+                            html_mode=html_mode, use_actors=use_actors,
                             target_blocks=target_blocks, debug_dir=debug_dir,
                             engine=engine, keep_words=model is not None)
         if model is not None:

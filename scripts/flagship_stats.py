@@ -1,6 +1,6 @@
 """Print the flagship extraction pipeline's Ray Data stage stats at sf0.1
 scale — the evidence trail that wall time is spent in the span stage
-(useful compute), not in shuffles or driver hops.
+(useful compute), not in driver hops.
 
 Usage: python scripts/flagship_stats.py [n_docs]
 """
@@ -19,7 +19,8 @@ import ray  # noqa: E402
 def main() -> int:
     n_docs = int(sys.argv[1]) if len(sys.argv) > 1 else 4000
     ray.init(address="local",
-             num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+             num_cpus=int(os.environ.get("RAY_GRAFT_CPUS")
+                          or len(os.sched_getaffinity(0))),
              include_dashboard=False, logging_level="ERROR")
     import __ray_entry__ as E
     from documentprocessor_ray.pipelines.extract import run_extraction

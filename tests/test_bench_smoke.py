@@ -30,3 +30,14 @@ def test_bench_headline_only_contract():
     assert out["sf"] == 0.001
     assert out["queries"]["extract_receipts"] > 0
     assert out["headline_rows"] == 40
+
+
+def test_bench_queries_are_unique(monkeypatch):
+    """A query listed twice in BENCH_QUERIES is timed twice per round."""
+    # importing bench sets this variable; monkeypatch undoes it afterwards
+    monkeypatch.setenv("DPRAY_SKIP_ORACLE_DUMP", "1")
+    import bench
+
+    seen = set()
+    dupes = [q for q in bench.BENCH_QUERIES if q in seen or seen.add(q)]
+    assert dupes == []
