@@ -13,15 +13,10 @@ sees every fragment of it in the task that produced them. ``B`` counts
 documents (DOCS_PER_SPAN_TASK), so the read stays a separate operator and
 the span stage gets many small tasks to spread over the CPUs.
 
-The opt-in skew route (``split_heavy_cost``) keeps the span-level plan:
-explode -> per-span cost -> light/heavy batches -> span kernels ->
-groupby(pkey) -> assemble_bucket, one shuffle on coarse doc-hash buckets.
-
 Every stage is Arrow-native (batch_format="pyarrow"); per-page OCR is numpy
 inside the UDF. The `order` invariant is carried as data (an explicit
 column derived from span offset + reading-order line index), never as block
-order, so neither batching nor the shuffle can break it (SURVEY.md
-section 7.4).
+order, so batching cannot break it (SURVEY.md section 7.4).
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ SPAN_ROW_SCHEMA = pa.schema([
     ("line_texts", pa.list_(pa.string())),
     ("words", pa.list_(WORD_STRUCT)),
     ("error", pa.string()),
-    ("pkey", pa.int64()),
 ])
 
 BOX_STRUCT = pa.struct([
@@ -99,31 +93,30 @@ RESULT_SCHEMA = pa.schema([
 # + accumulated normalized words, for the downstream scorer stage
 RESULT_SCHEMA_WORDS = RESULT_SCHEMA.append(pa.field("words", pa.list_(WORD_STRUCT)))
 
-# Documents per span task in the default plan (build_pipeline's batch_size).
-# A doc count, never None: None lets Ray fuse the read into the span task.
+# Documents per span task (build_pipeline's batch_size default, which the
+# benchmark's floor pass reads to batch at the same size). A doc count,
+# never None: None lets Ray fuse the read into the span task.
 # 16 beat 8 on both perfbench workloads (4-core VM); below 8, per-task and
 # driver-memory overhead grow faster than the parallelism pays.
 DOCS_PER_SPAN_TASK = 16
 
-# Per-bucket memory budget for the split_heavy_cost route's reassembly
-# shuffle, in DOCUMENTS: a bucket is materialized by one map_groups call, so
-# this bounds reducer heap use.
+# Documents per coarse doc-hash bucket (explode_spans' pkey), the width
+# sharding.auto_buckets derives from a doc count. The flagship plan does not
+# shuffle; the benchmark's Ray Data shuffle floor (perfbench) groups exploded
+# spans on these buckets.
 DOCS_PER_BUCKET = 4096
 
 
 def explode_spans(batch: pa.Table, num_buckets: int = 64) -> pa.Table:
     """(doc_id, spans) -> one row per span; empty-span docs get a sentinel row
     (kind='empty', offset=-1) so reassembly preserves them. Each row carries
-    pkey = crc32(doc_id) % num_buckets — the split_heavy_cost route's
-    shuffle key: grouping on coarse buckets instead of per-doc keys keeps
-    the groupby's per-group overhead off the hot path (docs are
-    re-separated vectorized inside the bucket); the bucket count scales
-    with data size (sharding.auto_buckets via build_pipeline), bounding
-    what one map_groups call materializes.
+    pkey = crc32(doc_id) % num_buckets, a coarse doc-hash bucket. The span
+    stage ignores it; the benchmark's Ray Data shuffle floor (perfbench)
+    groups exploded spans on it, at a width from sharding.auto_buckets.
 
     Zero-copy explode: pyarrow list_flatten / list_parent_indices unnest the
     span structs in C++; the only Python loop is one crc32 per DOC (not per
-    span) for the shuffle key."""
+    span) for pkey."""
     import zlib
 
     import pyarrow.compute as pc
@@ -165,11 +158,9 @@ def explode_spans(batch: pa.Table, num_buckets: int = 64) -> pa.Table:
 
 
 class SpanProcessor:
-    """The flagship's one span-stage UDF. With ``whole_docs`` (the default
-    plan) it takes a batch of whole documents and returns their result
-    rows: explode_spans -> span kernels -> assemble_bucket. Without it (the
-    ``split_heavy_cost`` route) it takes exploded span rows and returns
-    processed span rows, reassembled after that route's shuffle.
+    """The flagship's one span-stage UDF: it takes a batch of whole
+    documents and returns their result rows, explode_spans -> span kernels
+    -> assemble_bucket.
 
     Span kernels: text spans -> normalize path; html -> boilerplate strip;
     pdf -> layout parse; media -> preprocess + OCR + box-normalize. The OCR
@@ -180,7 +171,7 @@ class SpanProcessor:
     def __init__(self, media_dir: str, cfg: Optional[PreprocessConfig] = None,
                  debug_dir: Optional[str] = None, log_dir: Optional[str] = None,
                  engine=None, html_mode: str = "blocks",
-                 keep_words: bool = False, whole_docs: bool = True):
+                 keep_words: bool = False):
         from ..ocr_kernel import get_engine
 
         self.store = MediaStore(media_dir)
@@ -197,11 +188,8 @@ class SpanProcessor:
             raise ValueError(f"html_mode must be blocks|dom, got {html_mode}")
         self.html_mode = html_mode
         self.keep_words = keep_words
-        self.whole_docs = whole_docs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.whole_docs:
-            return self.process_spans(batch)
         return assemble_bucket(self.process_spans(explode_spans(batch)),
                                keep_words=self.keep_words)
 
@@ -217,7 +205,6 @@ class SpanProcessor:
             "line_texts": [[] for _ in range(n)],
             "words": [[] for _ in range(n)],
             "error": [None] * n,
-            "pkey": batch["pkey"].to_pylist(),
         }
         # text rows: ONE vectorized RE2 normalize over the batch's text
         # column (the main-content-extraction hot path); media rows below
@@ -305,7 +292,8 @@ _PROCESSOR_CACHE: Dict[tuple, "SpanProcessor"] = {}
 
 def span_task(batch: pa.Table, **processor_kwargs) -> pa.Table:
     """The task-pool span stage: this worker process's cached SpanProcessor
-    (built from ``processor_kwargs``) over one batch."""
+    (built from ``processor_kwargs``) over one batch. The benchmark finds
+    the span stage's operator by this name."""
     from ..ocr_kernel import engine_key
 
     key = tuple(sorted((k, engine_key(v) if k == "engine" else repr(v))
@@ -329,8 +317,8 @@ def _field_to_struct(f: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
 
 def assemble_bucket(group: pa.Table, keep_words: bool = False) -> pa.Table:
     """Reassemble every document in a table of processed span rows that
-    holds all fragments of each of its documents (a doc batch, or a shuffle
-    bucket): Arrow-native sort by (doc_id, offset) (C++ sort, no Python row
+    holds all fragments of each of its documents (one doc batch):
+    Arrow-native sort by (doc_id, offset) (C++ sort, no Python row
     dicts), numpy run-boundary segmentation, then each contiguous doc
     segment rebuilt from column slices — one column->Python conversion per
     call (not one dict per row)."""
@@ -445,9 +433,6 @@ def build_pipeline(
     keep_words: bool = False,
     debug_dir: Optional[str] = None,
     log_dir: Optional[str] = None,
-    split_heavy_cost: Optional[int] = None,
-    num_buckets: Optional[int] = None,
-    size_hint: Optional[int] = None,
     engine=None,
     html_mode: str = "blocks",
 ) -> "ray.data.Dataset":
@@ -466,18 +451,13 @@ def build_pipeline(
     heavy state (real model weights), cf. reference lazy singletons
     (receipt_processor.py:50-54).
 
-    ``split_heavy_cost`` takes the span-level route, whose reassembly
-    shuffle width (num_buckets) scales with data/cluster size via
-    sharding.auto_buckets; ``size_hint`` is the input DOC count (counted
-    here when not given). One bucket holds <= ~DOCS_PER_BUCKET documents
-    regardless of corpus size, so the per-bucket map_groups
-    materialization is bounded at any scale.
+    ``target_blocks`` repartitions the documents ahead of the span stage.
+    That is an all-to-all before the UDF, so it is off by default.
     """
     proc_kwargs = {"media_dir": media_dir, "cfg": cfg,
                    "debug_dir": debug_dir, "log_dir": log_dir,
                    "engine": engine, "html_mode": html_mode,
-                   "keep_words": keep_words,
-                   "whole_docs": split_heavy_cost is None}
+                   "keep_words": keep_words}
     if use_actors:
         if concurrency is None:
             try:
@@ -492,59 +472,10 @@ def build_pipeline(
             num_cpus=1)
     else:
         udf, udf_kwargs = span_task, dict(fn_kwargs=proc_kwargs)
-
-    def span_stage(ds: "ray.data.Dataset", rows: int) -> "ray.data.Dataset":
-        return ds.map_batches(udf, batch_format="pyarrow", batch_size=rows,
-                              **udf_kwargs)
-
-    if split_heavy_cost is None:
-        if target_blocks:
-            docs = docs.repartition(target_blocks)
-        return span_stage(docs, batch_size)
-
-    from ..sharding import auto_buckets
-
-    if num_buckets is None:
-        num_buckets = auto_buckets(
-            docs.count() if size_hint is None else size_hint,
-            rows_per_bucket=DOCS_PER_BUCKET)
-    spans = docs.map_batches(explode_spans, batch_format="pyarrow",
-                             fn_kwargs={"num_buckets": num_buckets})
     if target_blocks:
-        spans = spans.repartition(target_blocks)
-    # Skew-aware two-path routing (SURVEY.md §4.2): per-span cost proxy =
-    # stored media bytes (compressed size tracks pixel complexity; text
-    # spans cost their length). Spans above the threshold take a
-    # batch_size=1 path so one giant page never rides in a batch with 15
-    # others — the batch, not the document, is the unit of work, and this
-    # caps its worst case. Both paths share the same UDF and re-unite
-    # before the reassembly shuffle, so output is invariant.
-    import os as _os
-
-    def add_cost(batch: pa.Table, _m=media_dir) -> pa.Table:
-        costs = []
-        for kind, text, ref in zip(batch["kind"].to_pylist(),
-                                   batch["text"].to_pylist(),
-                                   batch["media_ref"].to_pylist()):
-            if kind == "media":
-                cost = 0  # missing ref -> error channel later
-                for ext in (".npz8", ".npy"):  # legacy .npy fallback
-                    try:
-                        cost = _os.path.getsize(_os.path.join(_m, ref + ext))
-                        break
-                    except OSError:
-                        continue
-                costs.append(cost)
-            else:
-                costs.append(len(text or ""))
-        return batch.append_column("cost", pa.array(costs, pa.int64()))
-
-    spans = spans.map_batches(add_cost, batch_format="pyarrow")
-    light = spans.filter(expr=f"cost <= {int(split_heavy_cost)}")
-    heavy = spans.filter(expr=f"cost > {int(split_heavy_cost)}")
-    processed = span_stage(light, batch_size).union(span_stage(heavy, 1))
-    return processed.groupby("pkey").map_groups(
-        lambda g: assemble_bucket(g, keep_words=keep_words), batch_format="pyarrow")
+        docs = docs.repartition(target_blocks)
+    return docs.map_batches(udf, batch_format="pyarrow", batch_size=batch_size,
+                            **udf_kwargs)
 
 
 def run_extraction(

@@ -375,11 +375,11 @@ def read_avro(shard_dir: str, on_error: str = "raise",
     ``on_error="quarantine"`` gives the bad-records semantics every
     production ingest needs (Spark's badRecordsPath, Delta's
     permissive mode): a shard that fails to parse — corrupt sync,
-    truncated block, bad magic — contributes ZERO rows instead of
-    killing the job, logs a WARNING with the shard path, and the good
-    shards flow through untouched. ``schema`` (required for
-    quarantine) shapes the empty table a failed shard yields so the
-    stream's schema stays uniform. At 100 TB one rotten file out of
+    truncated block, bad magic, corrupt deflate body — contributes
+    ZERO rows instead of killing the job, logs a WARNING with the
+    shard path, and the good shards flow through untouched.
+    ``schema`` (required for quarantine) shapes the empty table a
+    failed shard yields so the stream's schema stays uniform. At 100 TB one rotten file out of
     thousands must not abort a day-long run; the per-partition
     manifests (state/checkpoint.py) record counts, so the shortfall
     is visible downstream."""
@@ -398,7 +398,8 @@ def read_avro(shard_dir: str, on_error: str = "raise",
                              batch["bytes"].to_pylist()):
             try:
                 parts.append(parse_avro_file(buf, reader_schema))
-            except (ValueError, KeyError, IndexError) as e:
+            except (ValueError, KeyError, IndexError, zlib.error,
+                    struct.error) as e:
                 if on_error == "raise":
                     raise
                 import logging

@@ -251,10 +251,12 @@ def write_delta(ds: "ray.data.Dataset", table_dir: str,
                   for f in sorted(os.listdir(stage_dir))
                   if f.endswith(".parquet")]
     else:
-        values = sorted(str(v) for v in ds.unique(partition_by))
-        for v in values:
+        # filter on the column's native value; the log's partitionValues
+        # and the directory name carry its string form (Delta spec)
+        for native in sorted(ds.unique(partition_by), key=str):
+            v = str(native)
             vdir = os.path.join(stage_dir, f"{partition_by}={v}")
-            ds.filter(expr=f"{partition_by} == {v!r}") \
+            ds.filter(expr=f"{partition_by} == {native!r}") \
                 .write_parquet(vdir)
             os.makedirs(vdir, exist_ok=True)
             staged.extend(

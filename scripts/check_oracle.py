@@ -11,6 +11,7 @@ the full-registry correctness artifact (CORRECTNESS_full_r{N}.json).
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -20,7 +21,7 @@ import pandas as pd
 
 import ray
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def to_pandas(res) -> pd.DataFrame:

@@ -1,7 +1,8 @@
 """Determinism across parallelism levels (SURVEY.md §7.4): the same corpus at
-num_cpus=2 and num_cpus=8 in FRESH processes must produce byte-identical
+num_cpus=1 and num_cpus=4 in FRESH processes must produce byte-identical
 sorted (doc_id, status, spans_out) — the scaling benchmark's correctness
-twin. Exits nonzero on mismatch.
+twin. Exits nonzero on mismatch. Runs the package of the checkout this
+script sits in.
 
     python scripts/determinism_probe.py [n_docs]
 """
@@ -14,9 +15,13 @@ import os
 import subprocess
 import sys
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CPUS = (1, 4)
+
+# runs in a fresh interpreter with ROOT on PYTHONPATH, which the Ray
+# workers it starts inherit
 _CHILD = r'''
 import sys, hashlib, json
-sys.path.insert(0, "/root/repo")
 import ray
 ray.init(address="local", num_cpus=int(sys.argv[1]), include_dashboard=False,
          logging_level="ERROR")
@@ -33,27 +38,30 @@ ray.shutdown()
 
 
 def main() -> int:
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     from documentprocessor_ray.corpus import generate_corpus
 
     n_docs = int(sys.argv[1]) if len(sys.argv) > 1 else 80
     out = f"/tmp/dpray_determinism_n{n_docs}"
     docs_dir, media_dir = generate_corpus(out, n_docs=n_docs, seed=23,
                                           heavy_frac=0.03, num_partitions=8)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [ROOT, os.environ.get("PYTHONPATH")])))
     hashes = {}
-    for cpus in (2, 8):
+    for cpus in CPUS:
         p = subprocess.run([sys.executable, "-c", _CHILD, str(cpus), docs_dir, media_dir],
-                           capture_output=True, text=True, timeout=600)
+                           capture_output=True, text=True, timeout=600, env=env)
         line = [l for l in p.stdout.splitlines() if l.startswith("HASH:")]
         if not line:
             print(f"num_cpus={cpus}: no hash produced\n{p.stderr[-2000:]}")
             return 1
         hashes[cpus] = line[0][5:]
         print(f"num_cpus={cpus}: {hashes[cpus]}")
-    if hashes[2] != hashes[8]:
+    lo, hi = CPUS
+    if hashes[lo] != hashes[hi]:
         print("DETERMINISM VIOLATION: outputs differ across parallelism levels")
         return 1
-    print("deterministic: identical output at num_cpus=2 and num_cpus=8")
+    print(f"deterministic: identical output at num_cpus={lo} and num_cpus={hi}")
     return 0
 
 

@@ -48,7 +48,7 @@ def default_output(ray_session, small_corpus):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"split_heavy_cost": 0},
+    {"target_blocks": 4},
     {"use_actors": True},
     {"batch_size": 1},
 ], ids=lambda kw: next(iter(kw)))

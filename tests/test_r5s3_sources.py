@@ -293,9 +293,24 @@ class TestAvroFuzz:
         run()
 
 
+def _first_block_body_offset(blob: bytes) -> int:
+    """Offset of the first data block's (compressed) body in an avro
+    container: past the header's sync marker, the row count and the size."""
+    from documentprocessor_ray.sources.avro import _read_long
+
+    pos = blob.index(blob[-16:]) + 16  # every block ends with the sync
+    _, pos = _read_long(memoryview(blob), pos)
+    _, pos = _read_long(memoryview(blob), pos)
+    return pos
+
+
 class TestAvroQuarantine:
+    @pytest.mark.parametrize("flip", [
+        lambda blob: len(blob) - 1,  # sync marker of the last block
+        lambda blob: _first_block_body_offset(blob) + 1,  # zlib.error
+    ], ids=["last_byte", "deflate_body"])
     def test_quarantine_drops_only_rotten_shard(self, ray_session,
-                                                tmp_path):
+                                                tmp_path, flip):
         import ray.data  # noqa: F401
 
         from documentprocessor_ray.sources.avro import (
@@ -305,7 +320,7 @@ class TestAvroQuarantine:
         d = write_avro_shards(src, str(tmp_path / "avro"), num_shards=4)
         victim = os.path.join(d, "shard-00002.avro")
         blob = bytearray(open(victim, "rb").read())
-        blob[-1] ^= 0xFF
+        blob[flip(bytes(blob))] ^= 0xFF
         open(victim, "wb").write(bytes(blob))
         schema = pa.schema([("doc_id", pa.int64()),
                             ("text", pa.string()),
@@ -828,6 +843,29 @@ class TestDeltaPartitioned:
         # checkpoint round-trips partitionValues
         checkpoint_delta(d)
         assert active_adds(d) == adds
+
+    def test_int_partition_column_roundtrip(self, ray_session, tmp_path):
+        """An int64 partition column filters on its native value and logs
+        its string form in partitionValues and the directory name."""
+        import ray.data
+
+        from documentprocessor_ray.sources.deltalog import (
+            active_adds, read_delta, write_delta)
+
+        t = pa.table({"k": pa.array([1, 2, 2, 3, 10], pa.int64()),
+                      "v": pa.array(list("abcde"))})
+        d = str(tmp_path / "ti")
+        write_delta(ray.data.from_arrow(t), d, partition_by="k")
+        adds = active_adds(d)
+        assert {a["partitionValues"]["k"] for a in adds} == \
+            {"1", "2", "3", "10"}
+        assert all(f"/k={a['partitionValues']['k']}/" in a["path"]
+                   for a in adds)
+        back = pa.Table.from_pylist(read_delta(d).take_all())
+        assert back.schema.field("k").type == pa.int64()
+        assert back.sort_by("v").equals(t)
+        assert sorted(read_delta(d, partition_filter={"k": 2})
+                      .to_pandas()["v"]) == ["b", "c"]
 
     def test_empty_partition_filter_raises(self, ray_session, tmp_path):
         import ray.data

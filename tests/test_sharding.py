@@ -22,8 +22,8 @@ class TestAutoBuckets:
         assert auto_buckets(0) == auto_buckets(None)
 
     def test_flagship_pipeline_uses_scaled_buckets(self, ray_session):
-        """explode_spans stamps pkey in [0, num_buckets); build_pipeline
-        derives num_buckets from the doc-count size_hint."""
+        """explode_spans stamps pkey in [0, num_buckets), and the width
+        auto_buckets derives from a doc count grows with it."""
         from documentprocessor_ray.pipelines.extract import DOCS_PER_BUCKET, explode_spans
 
         docs = pa.table({

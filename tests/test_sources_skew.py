@@ -1,5 +1,5 @@
-"""Partition-pruned source reads, media-ref validation, and the cost-proxy
-heavy-span routing (output-invariance + routing correctness)."""
+"""Partition-pruned source reads, media-ref validation, and corrupt media
+staying in the in-band error channel."""
 
 from __future__ import annotations
 
@@ -64,37 +64,3 @@ class TestCorruptedMedia:
         assert failed.iloc[0]["error"]  # zlib/shape error captured in-band
         assert (df[df["status"] == "done"]["doc_id"].nunique()
                 == len(df) - 1)
-
-
-class TestHeavyCostRouting:
-    def test_output_invariant_under_split(self, ray_session, small_corpus):
-        from documentprocessor_ray.pipelines.extract import run_extraction
-
-        docs_dir, media_dir = small_corpus
-
-        def canon(ds):
-            rows = ds.take_all()
-            return sorted(
-                (r["doc_id"], r["status"],
-                 tuple((s["kind"], s["text"], s["media_ref"], s["order"])
-                       for s in r["spans_out"]))
-                for r in rows)
-
-        base = canon(run_extraction(docs_dir, media_dir))
-        # threshold 0 -> every media span takes the heavy path
-        split_all = canon(run_extraction(docs_dir, media_dir, split_heavy_cost=0))
-        # huge threshold -> nothing takes the heavy path
-        split_none = canon(run_extraction(docs_dir, media_dir,
-                                          split_heavy_cost=10 ** 12))
-        assert base == split_all == split_none
-
-    def test_mid_threshold(self, ray_session, small_corpus):
-        from documentprocessor_ray.pipelines.extract import run_extraction
-
-        docs_dir, media_dir = small_corpus
-        sizes = sorted(os.path.getsize(os.path.join(media_dir, f))
-                       for f in os.listdir(media_dir))
-        thr = sizes[len(sizes) // 2]
-        out = run_extraction(docs_dir, media_dir, split_heavy_cost=thr)
-        df = out.to_pandas()
-        assert (df["status"] == "done").all()
