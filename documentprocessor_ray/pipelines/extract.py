@@ -2,16 +2,21 @@
 
 Physical plan (default):
 
-    read_parquet(documents)                      # (doc_id, spans) per input_hint
-      -> map_batches(span_task, batch_size=B)    # B whole documents per task:
+    read_parquet(documents)                      # (doc_id, spans), one block per CPU
+      -> map_batches(span_task, batch_size=B)    # B whole documents per call:
                                                  #   explode_spans -> span kernels
                                                  #   -> assemble_bucket (SpanProcessor)
       -> result rows (spans_out invariant + heuristic fields)
 
 There is no all-to-all: a document never leaves its batch, so reassembly
 sees every fragment of it in the task that produced them. ``B`` counts
-documents (DOCS_PER_SPAN_TASK), so the read stays a separate operator and
-the span stage gets many small tasks to spread over the CPUs.
+documents (DOCS_PER_SPAN_TASK), so the read stays a separate operator.
+
+The read is one block per CPU (sources/documents.read_table_auto says
+why), and run_extraction gives the flagship Dataset a block target sized
+to its output (SPAN_BLOCK_BYTES says why), so every span task starts at
+once; the process-global DataContext is never set.
+A span task runs one read block in calls of ``B`` documents each.
 
 Every stage is Arrow-native (batch_format="pyarrow"); per-page OCR is numpy
 inside the UDF. The `order` invariant is carried as data (an explicit
@@ -99,6 +104,17 @@ RESULT_SCHEMA_WORDS = RESULT_SCHEMA.append(pa.field("words", pa.list_(WORD_STRUC
 # 16 beat 8 on both perfbench workloads (4-core VM); below 8, per-task and
 # driver-memory overhead grow faster than the parallelism pays.
 DOCS_PER_SPAN_TASK = 16
+
+# The flagship Dataset's target_max_block_size (run_extraction). Before an
+# operator has output, Ray Data assumes each of its running tasks holds
+# target_max_block_size x 2 of pending output
+# (ray/data/_internal/execution/interfaces/op_runtime_metrics.py:585-602)
+# and admits tasks against the object store budget. At Ray's default of
+# 128 MiB a 512 MiB object store admits one span task until it finishes.
+# A span task's output block measured 42 KiB (perfbench receipts, 25 docs)
+# to 118 KiB (web_text, 200 docs), so 1 MiB admits every span task at once
+# and larger outputs are cut into 1 MiB blocks.
+SPAN_BLOCK_BYTES = 1 << 20
 
 # Documents per coarse doc-hash bucket (explode_spans' pkey), the width
 # sharding.auto_buckets derives from a doc count. The flagship plan does not
@@ -488,11 +504,16 @@ def run_extraction(
 ) -> "ray.data.Dataset":
     """Read the documents table (Lance when available/detected, parquet
     fallback — sources/documents.read_table_auto) and build the pipeline;
-    optionally write partitioned output (parquet|lance|json)."""
+    optionally write partitioned output (parquet|lance|json).
+
+    The read's Dataset context, which every Dataset derived from it
+    shares, gets ``target_max_block_size = SPAN_BLOCK_BYTES``; the
+    process-global ``DataContext.get_current()`` is left untouched."""
     from ..sources.documents import read_table_auto
     from ..sources.sinks import write_results
 
     docs = read_table_auto(documents_dir, fmt=input_format)
+    docs.context.target_max_block_size = SPAN_BLOCK_BYTES
     ds = build_pipeline(docs.select_columns(["doc_id", "spans"]), media_dir, **kwargs)
     if output_dir:
         write_results(ds, output_dir, fmt=output_format)

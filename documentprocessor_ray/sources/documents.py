@@ -33,6 +33,14 @@ def _looks_like_lance(path: str) -> bool:
     return str(path).endswith(".lance") or os.path.isdir(os.path.join(path, "_versions"))
 
 
+def _read_blocks() -> Optional[int]:
+    """One read block per CPU of the cluster; None (Ray Data's own choice)
+    when Ray is not up yet."""
+    if not ray.is_initialized():
+        return None
+    return int(ray.cluster_resources().get("CPU", 1))
+
+
 def read_table_auto(
     path: str,
     columns: Optional[Sequence[str]] = None,
@@ -45,7 +53,19 @@ def read_table_auto(
 
     Both paths prune COLUMNS at the read (Lance is a columnar format with
     native projection pushdown; ray.data.read_lance passes columns straight
-    to the fragment scanner)."""
+    to the fragment scanner).
+
+    The read asks for one block per CPU. Ray Data then runs min(files or
+    fragments, CPUs) read tasks, and splits their output when there are
+    fewer files than CPUs, so every CPU gets a span task. It does not run
+    one read task per file: while a read operator is running, Ray Data
+    gives it and each downstream operator about an equal share of the CPUs
+    (ray/data/_internal/execution/resource_manager.py:363-387), and once a
+    downstream task is running it only notices finished read tasks on its
+    0.1 s wait tick (streaming_executor_state.py:500-505). Many
+    few-millisecond read tasks thus take a tick each to hand on; a read of
+    one task per CPU finishes in the executor's first ticks, so every span
+    task can start at once."""
     if fmt is None:
         fmt = "lance" if _looks_like_lance(path) else "parquet"
     if fmt == "lance":
@@ -53,10 +73,11 @@ def read_table_auto(
             raise ImportError(
                 "input looks like a Lance table but the 'lance' package is "
                 "not installed; install pylance or pass fmt='parquet'")
-        return ray.data.read_lance(path, columns=list(columns) if columns else None)
+        return ray.data.read_lance(path, columns=list(columns) if columns else None,
+                                   override_num_blocks=_read_blocks())
     if fmt != "parquet":
         raise ValueError(f"unknown table format '{fmt}' (lance|parquet)")
-    ds = ray.data.read_parquet(path)
+    ds = ray.data.read_parquet(path, override_num_blocks=_read_blocks())
     if columns:
         ds = ds.select_columns(list(columns))
     return ds

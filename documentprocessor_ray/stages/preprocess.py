@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,31 +41,43 @@ def to_grayscale(img: np.ndarray) -> np.ndarray:
     return ((299 * r + 587 * g + 114 * b) // 1000).astype(np.uint8)
 
 
-# LUT-composition versions of the point operations: every step here is a
-# function of the PIXEL VALUE only, so a chain of steps composes into one
-# 256-entry LUT and the image is touched once per public call (one histogram
-# pass where a min/max is needed + one gather) instead of once per step —
-# bit-identical by construction (uint8 domain, same per-value arithmetic).
+# Point operations: background removal, contrast and threshold map each
+# pixel by its value alone, so each is a 256-entry LUT and a chain of them
+# composes into one LUT and one gather. The only image statistic they read
+# is the min and max (the stretch of -auto-level), and a monotone LUT maps
+# the min and max of an image to the min and max of its output, so one
+# min/max reduction of the input serves the whole chain. Bit-identical by
+# construction (uint8 domain, same per-value arithmetic).
+#
+# A point step is a function (lo, hi) -> LUT of the min and max of its input.
+PointStep = Callable[[int, int], np.ndarray]
 
-def _minmax_from_hist(hist: np.ndarray) -> tuple:
-    nz = np.flatnonzero(hist)
-    return int(nz[0]), int(nz[-1])
 
-
-def _auto_level_lut(lo: int, hi: int) -> np.ndarray:
+def _stretch_lut(lo: int, hi: int) -> np.ndarray:
     if hi <= lo:
         return np.arange(256, dtype=np.uint8)  # identity (matches .copy())
     return np.clip((np.arange(256, dtype=np.int64) - lo) * 255
                    // (hi - lo), 0, 255).astype(np.uint8)
 
 
+def _compose(steps: Sequence[PointStep], lo: int, hi: int) -> np.ndarray:
+    """One LUT for ``steps`` applied in order to an image with min ``lo``
+    and max ``hi``."""
+    out = np.arange(256, dtype=np.uint8)
+    for step in steps:
+        lut = step(lo, hi)
+        out = lut[out]
+        lo, hi = sorted((int(lut[lo]), int(lut[hi])))
+    return out
+
+
+def _apply(img: np.ndarray, *steps: PointStep) -> np.ndarray:
+    return np.take(_compose(steps, int(img.min()), int(img.max())), img)
+
+
 def auto_level(img: np.ndarray) -> np.ndarray:
     """Linear histogram stretch to full [0, 255] (ImageMagick -auto-level)."""
-    lo = int(img.min())
-    hi = int(img.max())
-    if hi <= lo:
-        return img.copy()
-    return _auto_level_lut(lo, hi)[img]
+    return _apply(img, _stretch_lut)
 
 
 def _whiten_lut(fuzz_percent: float) -> np.ndarray:
@@ -75,14 +87,15 @@ def _whiten_lut(fuzz_percent: float) -> np.ndarray:
     return lut
 
 
+def _background_step(fuzz_percent: float) -> PointStep:
+    wlut = _whiten_lut(fuzz_percent)
+    return lambda lo, hi: _stretch_lut(int(wlut[lo]), int(wlut[hi]))[wlut]
+
+
 def remove_background(img: np.ndarray, fuzz_percent: float = 30.0) -> np.ndarray:
     """M3: pixels within fuzz% of white forced to pure white, then auto-level.
-    One histogram pass + one gather (whiten and stretch LUTs composed)."""
-    wlut = _whiten_lut(fuzz_percent)
-    hist = np.bincount(img.reshape(-1), minlength=256)
-    whist = np.bincount(wlut, weights=hist, minlength=256)
-    lo, hi = _minmax_from_hist(whist)
-    return _auto_level_lut(lo, hi)[wlut][img]
+    One min/max pass + one gather (whiten and stretch LUTs composed)."""
+    return _apply(img, _background_step(fuzz_percent))
 
 
 def _sigmoid_lut(strength: float, midpoint_percent: float) -> np.ndarray:
@@ -94,18 +107,26 @@ def _sigmoid_lut(strength: float, midpoint_percent: float) -> np.ndarray:
     return np.clip(np.round((s - s0) / (s1 - s0) * 255.0), 0, 255).astype(np.uint8)
 
 
+def _sigmoidal_step(strength: float, midpoint_percent: float) -> PointStep:
+    slut = _sigmoid_lut(strength, midpoint_percent)
+    return lambda lo, hi: slut[_stretch_lut(lo, hi)]
+
+
 def sigmoidal_contrast(img: np.ndarray, strength: float = 3.0, midpoint_percent: float = 120.0) -> np.ndarray:
     """M4: -auto-level then sigmoidal contrast LUT (strength x midpoint%).
-    One histogram pass + one gather (stretch and sigmoid LUTs composed)."""
-    hist = np.bincount(img.reshape(-1), minlength=256)
-    lo, hi = _minmax_from_hist(hist)
-    return _sigmoid_lut(strength, midpoint_percent)[_auto_level_lut(lo, hi)][img]
+    One min/max pass + one gather (stretch and sigmoid LUTs composed)."""
+    return _apply(img, _sigmoidal_step(strength, midpoint_percent))
 
 
 def threshold(img: np.ndarray, percent: float = 50.0) -> np.ndarray:
     """M5: global binarize at percent of full scale (off by default upstream)."""
     t = int(round(255 * percent / 100.0))
     return np.where(img >= t, np.uint8(255), np.uint8(0))
+
+
+def _threshold_step(percent: float) -> PointStep:
+    lut = threshold(np.arange(256, dtype=np.uint8), percent)
+    return lambda lo, hi: lut
 
 
 def denoise(img: np.ndarray) -> np.ndarray:
@@ -225,6 +246,21 @@ class PreprocessConfig:
     error_on_unsafe_dpi: bool = False
 
 
+def _point_steps(cfg: PreprocessConfig) -> List[Tuple[str, PointStep]]:
+    """The point steps ``cfg`` turns on, in order, with their tap names."""
+    steps = []
+    if cfg.remove_background:
+        steps.append(("background_removed", _background_step(cfg.bg_fuzz_percent)))
+    if cfg.contrast == "sigmoidal":
+        steps.append(("contrast_enhanced", _sigmoidal_step(
+            cfg.contrast_strength, cfg.contrast_midpoint)))
+    elif cfg.contrast == "linear":
+        steps.append(("contrast_enhanced", _stretch_lut))
+    if cfg.apply_threshold:
+        steps.append(("threshold", _threshold_step(cfg.threshold_percent)))
+    return steps
+
+
 def preprocess(img: np.ndarray, cfg: PreprocessConfig = PreprocessConfig(),
                tap=None) -> np.ndarray:
     """M9: fused chain in the reference composer's order (grayscale hoisted
@@ -233,7 +269,9 @@ def preprocess(img: np.ndarray, cfg: PreprocessConfig = PreprocessConfig(),
 
     ``tap(step_name, image)`` is the S7 debug hook: called after every stage
     that RAN (the debug sink numbers and PNG-encodes them,
-    stages/debug.save_steps). None (the default) costs nothing."""
+    stages/debug.save_steps). None (the default) costs nothing, and the
+    point steps (background removal, contrast, threshold) then run as one
+    composed LUT: one min/max pass and one gather instead of one each."""
     t = tap if tap is not None else (lambda _n, _i: None)
     if cfg.grayscale:
         img = to_grayscale(img)
@@ -241,18 +279,13 @@ def preprocess(img: np.ndarray, cfg: PreprocessConfig = PreprocessConfig(),
     if cfg.deskew:
         img = deskew(img)
         t("deskewed", img)
-    if cfg.remove_background:
-        img = remove_background(img, cfg.bg_fuzz_percent)
-        t("background_removed", img)
-    if cfg.contrast == "sigmoidal":
-        img = sigmoidal_contrast(img, cfg.contrast_strength, cfg.contrast_midpoint)
-        t("contrast_enhanced", img)
-    elif cfg.contrast == "linear":
-        img = auto_level(img)
-        t("contrast_enhanced", img)
-    if cfg.apply_threshold:
-        img = threshold(img, cfg.threshold_percent)
-        t("threshold", img)
+    steps = _point_steps(cfg)
+    if tap is not None:
+        for name, step in steps:
+            img = _apply(img, step)
+            t(name, img)
+    elif steps:
+        img = _apply(img, *(step for _, step in steps))
     if cfg.denoise:
         img = denoise(img)
         t("denoised", img)

@@ -28,17 +28,18 @@ import subprocess
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 N_DOCS = int(sys.argv[1]) if len(sys.argv) > 1 else 100_000
-OUT_JSON = sys.argv[2] if len(sys.argv) > 2 else "/root/repo/ENDURANCE_r05.json"
+OUT_JSON = sys.argv[2] if len(sys.argv) > 2 else os.path.join(ROOT, "ENDURANCE_r05.json")
 BASE = "/tmp/dpray_endurance"
 OUT = os.path.join(BASE, "out")
 N_PARTS = 16
 
 RUN_SNIPPET = f"""
 import sys
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, {ROOT!r})
 import ray
 ray.init(address="local", num_cpus=32, include_dashboard=False,
          logging_level="ERROR")
@@ -51,6 +52,9 @@ print("SUMMARY_JSON:" + json.dumps(
     | {{"partitions": s["partitions"]}}))
 ray.shutdown()
 """
+# the child and its Ray workers import the package from this checkout
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [ROOT, os.environ.get("PYTHONPATH")])))
 
 
 def manifest_paths():
@@ -81,7 +85,7 @@ def main():
     # ---- Phase A: run and SIGKILL mid-flight -------------------------
     child = subprocess.Popen([sys.executable, "-c", RUN_SNIPPET],
                              stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL)
+                             stderr=subprocess.DEVNULL, env=CHILD_ENV)
     target = N_PARTS // 2
     t0 = time.time()
     while True:
@@ -106,7 +110,8 @@ def main():
     # ---- Phase B: resume to completion --------------------------------
     t1 = time.time()
     out = subprocess.run([sys.executable, "-c", RUN_SNIPPET],
-                         capture_output=True, text=True, timeout=3600)
+                         capture_output=True, text=True, timeout=3600,
+                         env=CHILD_ENV)
     resume_s = time.time() - t1
     line = [l for l in out.stdout.splitlines()
             if l.startswith("SUMMARY_JSON:")]

@@ -15,15 +15,14 @@ import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 os.environ.setdefault("DPRAY_SKIP_ORACLE_DUMP", "1")
 
-from sf1_probe import DST, StoreSampler, build_documents, build_keyed
+from sf1_probe import DST, ROOT, StoreSampler, build_documents, build_keyed
 
 OUT_JSON = sys.argv[1] if len(sys.argv) > 1 else \
-    "/root/repo/BENCH_r05_sf1.json"
+    os.path.join(ROOT, "BENCH_r05_sf1.json")
 
 NEW_OPS = ["substring_prune", "ks_lang_length", "mwu_lang_length",
            "chi2_lang_source", "jsonl_gz_ingest", "jsonl_zst_ingest",

@@ -27,7 +27,8 @@ import sys
 import threading
 import time
 
-sys.path.insert(0, "/root/repo")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 import numpy as np
 import pyarrow as pa
@@ -39,7 +40,7 @@ DST = "/tmp/dpray_sf1"
 N_REPLICAS = 10
 DOC_OFF = 1_000_000
 KEY_OFF = 10_000_000
-OUT_JSON = sys.argv[1] if len(sys.argv) > 1 else "/root/repo/BENCH_r05_sf1.json"
+OUT_JSON = sys.argv[1] if len(sys.argv) > 1 else os.path.join(ROOT, "BENCH_r05_sf1.json")
 
 TOP10 = ["incremental_neardup", "corpus_dolma", "corpus_train_ready",
          "ngram_jaccard_pairs", "kn_trigram", "fk_orphans",

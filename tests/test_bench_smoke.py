@@ -12,7 +12,8 @@ import sys
 
 def test_bench_headline_only_contract():
     proc = subprocess.run(
-        [sys.executable, "/root/repo/bench.py", "--headline-only",
+        [sys.executable, os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "bench.py"), "--headline-only",
          "--docs", "40", "--cpus", "4"],
         env={**os.environ, "GRAFT_SF_DIR": "/root/testdata/sf0.001",
              "RAY_GRAFT_CPUS": "4"},

@@ -4,6 +4,10 @@ relies on (stable schema, matching keys, no ray.init calls)."""
 from __future__ import annotations
 
 import ast
+import os
+
+ENTRY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "__ray_entry__.py")
 
 
 def _entry_module():
@@ -34,7 +38,7 @@ class TestEntryContract:
 
     def test_no_ray_init_in_entry_module(self):
         """The driver owns the Ray session; the module must never init it."""
-        src = open("/root/repo/__ray_entry__.py").read()
+        src = open(ENTRY).read()
         tree = ast.parse(src)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in ("init", "shutdown"):

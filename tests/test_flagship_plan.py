@@ -67,3 +67,47 @@ def test_one_cpu_limit_gives_equal_output(default_output, small_corpus):
     finally:
         opts.resource_limits = saved
     assert out == default_output
+
+
+@pytest.mark.parametrize("num_files", [1, 8])
+def test_read_gives_every_cpu_a_block(ray_session, tmp_path, num_files):
+    """min(files, CPUs) read tasks and at least one block per CPU: Ray Data
+    splits the blocks of a read of fewer files than CPUs, and only then."""
+    import ray
+
+    from documentprocessor_ray.corpus import generate_corpus
+    from documentprocessor_ray.sources.documents import read_table_auto
+
+    docs_dir, _ = generate_corpus(str(tmp_path), n_docs=40, seed=3,
+                                  num_partitions=num_files)
+    cpus = int(ray.cluster_resources()["CPU"])
+    ds = read_table_auto(docs_dir).materialize()
+    stats = ds.stats()
+    assert f"{min(num_files, cpus)} tasks executed" in stats
+    assert ds.num_blocks() >= cpus
+    assert ds.count() == 40
+    assert ("SplitBlocks" in stats) == (num_files < cpus)
+
+
+def test_block_target_is_the_datasets_own(ray_session, small_corpus):
+    """The flagship Dataset carries the span block target in its own
+    context; the process-global DataContext and the context of a Dataset
+    passed to build_pipeline are left as they were."""
+    import ray
+    from ray.data import DataContext
+
+    from documentprocessor_ray.pipelines.extract import (SPAN_BLOCK_BYTES,
+                                                         build_pipeline)
+
+    ctx = DataContext.get_current()
+    block_size = ctx.target_max_block_size
+    options = repr(ctx.execution_options)
+    docs = ray.data.read_parquet(small_corpus[0])
+    build_pipeline(docs, small_corpus[1])
+    assert docs.context.target_max_block_size == block_size
+    ds = run_extraction(*small_corpus)
+    assert len(ds.take_all()) == 60
+    assert ds.context.target_max_block_size == SPAN_BLOCK_BYTES
+    assert DataContext.get_current() is ctx
+    assert ctx.target_max_block_size == block_size != SPAN_BLOCK_BYTES
+    assert repr(ctx.execution_options) == options

@@ -173,6 +173,101 @@ class TestPreprocessKernels:
             P.preprocess(big, strict)
 
 
+def _stepwise(img, cfg):
+    """preprocess as the public step functions, one call per step."""
+    if cfg.grayscale:
+        img = P.to_grayscale(img)
+    if cfg.deskew:
+        img = P.deskew(img)
+    if cfg.remove_background:
+        img = P.remove_background(img, cfg.bg_fuzz_percent)
+    if cfg.contrast == "sigmoidal":
+        img = P.sigmoidal_contrast(img, cfg.contrast_strength,
+                                   cfg.contrast_midpoint)
+    elif cfg.contrast == "linear":
+        img = P.auto_level(img)
+    if cfg.apply_threshold:
+        img = P.threshold(img, cfg.threshold_percent)
+    if cfg.denoise:
+        img = P.denoise(img)
+    return img
+
+
+def _stretch(img):
+    """-auto-level by its definition: (v - min) * 255 // (max - min)."""
+    lo, hi = int(img.min()), int(img.max())
+    if hi <= lo:
+        return img.copy()
+    return ((img.astype(np.int64) - lo) * 255 // (hi - lo)).astype(np.uint8)
+
+
+def _pages():
+    from documentprocessor_ray.corpus import receipt_lines
+
+    rng = np.random.default_rng(5)
+    return {f"page{i}": render_page(receipt_lines(rng), noise_seed=i,
+                                    noise_density=0.02) for i in range(3)}
+
+
+EDGE_IMAGES = {
+    "flat": np.full((12, 9), 90, dtype=np.uint8),        # hi <= lo
+    "all_white": np.full((12, 9), 255, dtype=np.uint8),
+    "two_levels": np.array([[100, 200], [100, 150]], dtype=np.uint8),
+    "random": np.random.default_rng(1).integers(0, 256, (24, 31),
+                                                dtype=np.uint8),
+}
+FUSED_CONFIGS = {
+    "default": {},
+    "linear": {"contrast": "linear"},
+    "no_contrast": {"contrast": "none"},
+    "no_background": {"remove_background": False},
+    "threshold": {"apply_threshold": True},
+    "no_point_steps": {"remove_background": False, "contrast": "none"},
+    "fuzz_0": {"bg_fuzz_percent": 0.0},
+    "fuzz_100": {"bg_fuzz_percent": 100.0},
+    "falling_sigmoid": {"contrast_strength": -2.0, "apply_threshold": True},
+}
+
+
+class TestFusedPointSteps:
+    """preprocess runs background removal, contrast and threshold as one
+    composed LUT when no debug tap is set; it must stay byte-equal to the
+    public step functions called one by one."""
+
+    @pytest.mark.parametrize("cfg_name", list(FUSED_CONFIGS))
+    def test_fused_equals_stepwise(self, cfg_name):
+        cfg = P.PreprocessConfig(**FUSED_CONFIGS[cfg_name])
+        for name, img in {**_pages(), **EDGE_IMAGES}.items():
+            want = _stepwise(img, cfg)
+            got = P.preprocess(img, cfg)
+            assert got.dtype == np.uint8 and np.array_equal(got, want), name
+            tapped = P.preprocess(img, cfg, tap=lambda _n, _i: None)
+            assert np.array_equal(tapped, want), name
+
+    def test_tap_sees_every_point_step(self):
+        seen = []
+        P.preprocess(EDGE_IMAGES["random"],
+                     P.PreprocessConfig(apply_threshold=True),
+                     tap=lambda n, _i: seen.append(n))
+        assert seen == ["grayscale", "deskewed", "background_removed",
+                        "contrast_enhanced", "threshold", "denoised"]
+
+    @pytest.mark.parametrize("fuzz", [0.0, 30.0, 100.0])
+    def test_steps_match_their_definitions(self, fuzz):
+        """The min/max shortcut of the point steps against the steps
+        written out on the image."""
+        for name, img in {**_pages(), **EDGE_IMAGES}.items():
+            thresh = 255 - int(round(255 * fuzz / 100.0))
+            whitened = np.where(img >= thresh, np.uint8(255), img)
+            assert np.array_equal(P.remove_background(img, fuzz),
+                                  _stretch(whitened)), name
+            assert np.array_equal(P.auto_level(img), _stretch(img)), name
+            assert np.array_equal(P.sigmoidal_contrast(img),
+                                  P._sigmoid_lut(3.0, 120.0)[_stretch(img)]), name
+            assert np.array_equal(P.threshold(img, 50.0),
+                                  np.where(img >= 128, 255, 0)), name
+
+
 class TestRealEngineAdapters:
     """Import-guarded Tesseract/Paddle adapters behind the registry seam
     (reference ocr_engine.py:31-286). The container lacks both libs, so the

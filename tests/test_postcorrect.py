@@ -1,6 +1,8 @@
 """Lexicon LM post-correction (stages/postcorrect.py) + the kernel_cc /
 kernel_lm engine seams end-to-end."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -149,7 +151,8 @@ class TestExtractCorrectedGate:
             extraction_oracle_rows, spans_md5)
 
         spec = importlib.util.spec_from_file_location(
-            "entry_mod", "/root/repo/__ray_entry__.py")
+            "entry_mod", os.path.join(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__))), "__ray_entry__.py"))
         E = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(E)
         d, m = E._noisy_corpus("/root/testdata/sf0.001")
