@@ -9745,7 +9745,7 @@ def q_delta_ingest(sf_dir: str) -> "ray.data.Dataset":
     transaction-log replay and read as plain pruned parquet. The twin
     re-derives the surviving row set logically, so the gate proves the
     add/remove replay picked exactly the active files. Time travel
-    (version=0) is pytest-gated (tests/test_r5s3_sources.py)."""
+    (version=0) is pytest-gated (tests/test_deltalog.py)."""
     from ..sources.deltalog import read_delta, write_delta_table
 
     table_dir = write_delta_table(
@@ -10142,13 +10142,13 @@ QUERIES["delta_time_travel"] = q_delta_time_travel
 
 def q_delta_write_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     """Delta-log WRITE path (sources/deltalog.write_delta): documents
-    stream out as version 0 (append — parallel staged parquet + one
-    driver-side JSON commit), then an overwrite commits version 1
-    keeping only n_chars >= 500; the final snapshot is read back and
-    rolled up. The twin re-derives the overwrite's survivor set, so
-    the gate proves the sink's staging + commit + remove bookkeeping
-    end-to-end (and the append leg via version-0 time travel in the
-    sink pytests)."""
+    stream out as version 0 (append — per-block staging tasks, then one
+    JSON commit of the files they wrote), then an overwrite commits
+    version 1 keeping only n_chars >= 500; the final snapshot is read
+    back and rolled up. The twin re-derives the overwrite's survivor
+    set, so the gate proves the sink's staging + commit + remove
+    bookkeeping end-to-end (and the append leg via version-0 time
+    travel in the sink pytests)."""
     from ..sources.deltalog import read_delta, write_delta
 
     table_dir = _columnar_shard_dir(sf_dir, "deltaw")

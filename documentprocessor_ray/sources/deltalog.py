@@ -17,22 +17,41 @@ is driver-side but TINY (one JSON line per file-level action — at
 and streaming apply unchanged. Checkpoint-parquet log compaction is
 implemented (checkpoint_delta writes the snapshot parquet +
 ``_last_checkpoint``; active_files seeds from it and replays only the
-tail), alongside write_delta (staged atomic commits), vacuum_delta
-(unreferenced-file sweep) and compact_delta (OPTIMIZE bin-packing).
+tail), alongside write_delta (commits exactly the files it staged),
+vacuum_delta (retention-window sweep of unreferenced files) and
+compact_delta (OPTIMIZE bin-packing).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
+import uuid
 from typing import List, Optional
 
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data
 
 _LOG_DIR = "_delta_log"
+# vacuum_delta keeps unreferenced files younger than this: they may be
+# an in-flight writer's staged files (Delta's retention window)
+_VACUUM_GRACE_S = 3600.0
+
+
+def _versions(log_dir: str) -> List[int]:
+    """Committed versions, ascending: only ``<20 digits>.json`` names."""
+    return sorted(int(f[:20]) for f in os.listdir(log_dir)
+                  if len(f) == 25 and f.endswith(".json") and f[:20].isdigit())
+
+
+def _actions(log_dir: str, version: int) -> List[dict]:
+    """The actions of one commit file, one JSON object per line."""
+    with open(os.path.join(log_dir, f"{version:020d}.json")) as f:
+        return [json.loads(line) for line in f if line.strip()]
 
 
 # --------------------------------------------------------------- writer
@@ -60,8 +79,6 @@ def write_delta_table(documents_parquet: str, out_dir: str,
     os.makedirs(log_dir, exist_ok=True)
     t = pq.read_table(documents_parquet).sort_by("doc_id")
     t = t.replace_schema_metadata(None)
-    import pyarrow as pa
-
     mod = pa.array(t["doc_id"].to_numpy() % num_files, pa.int64())
     actions0: List[str] = [
         json.dumps({"protocol": {"minReaderVersion": 1,
@@ -127,9 +144,7 @@ def active_adds(table_dir: str,
     instead of O(history). Requests for pre-checkpoint versions fall
     back to full JSON replay (the commits are retained)."""
     log_dir = os.path.join(table_dir, _LOG_DIR)
-    commits = sorted(f for f in os.listdir(log_dir)
-                     if f.endswith(".json") and "." not in
-                     f.rsplit(".json", 1)[0])
+    commits = _versions(log_dir)
     if not commits:
         raise ValueError(f"no commits in {log_dir}")
     live: dict = {}
@@ -148,24 +163,18 @@ def active_adds(table_dir: str,
                 live[p] = json.loads(pv)
             start_after = ckpt_v
     applied = start_after
-    for name in commits:
-        v = int(name.split(".")[0])
+    for v in commits:
         if v <= start_after:
             applied = max(applied, v)
             continue
         if version is not None and v > version:
             break
-        with open(os.path.join(log_dir, name)) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                action = json.loads(line)
-                if "add" in action:
-                    live[action["add"]["path"]] = \
-                        action["add"].get("partitionValues", {})
-                elif "remove" in action:
-                    live.pop(action["remove"]["path"], None)
+        for action in _actions(log_dir, v):
+            if "add" in action:
+                live[action["add"]["path"]] = \
+                    action["add"].get("partitionValues", {})
+            elif "remove" in action:
+                live.pop(action["remove"]["path"], None)
         applied = v
     if version is not None and applied < version:
         raise ValueError(
@@ -215,55 +224,58 @@ def write_delta(ds: "ray.data.Dataset", table_dir: str,
     """Delta-log SINK: write a Dataset as a new table version — the
     production counterpart of the sandbox table builder above.
 
-    The data files stream out via ``ds.write_parquet`` into a
-    uniquely-named staging prefix (one file per block, workers write
-    in parallel, nothing lands on the driver); the COMMIT is a single
-    driver-side JSON file listing exactly those staged files as
-    ``add`` actions (plus ``remove`` of the previous snapshot for
-    ``mode="overwrite"``). Readers replaying the log see either the
-    old snapshot or the whole new version — the transaction-log
-    atomicity Delta provides: a crash between staging and commit
-    leaves only unreferenced files that a vacuum can sweep, never a
-    torn table. Returns the committed version number.
+    Each block is staged by one ``map_batches`` task: one parquet file
+    per partition value under ``stage-<version>/``, named by a fresh
+    uuid so a retried task never overwrites an earlier attempt. The
+    task returns the ``add`` actions of the files it wrote, and the
+    COMMIT is one driver-side JSON file of exactly those actions (plus
+    ``remove`` of the previous snapshot for ``mode="overwrite"``): files
+    another attempt left in the staging directory are never committed,
+    and a crash before the commit leaves only unreferenced files that a
+    vacuum can sweep. Returns the committed version number.
 
     ``partition_by`` (a bounded-cardinality column) writes one
-    sub-prefix per distinct value and stamps each add action's
-    ``partitionValues`` — the log metadata ``read_delta``'s
-    ``partition_filter`` prunes on WITHOUT opening any data file. The
-    partition column stays IN the files (no hive stripping), so reads
-    need no re-inference."""
+    sub-prefix per distinct value in the same single pass and stamps
+    each add action's ``partitionValues`` with the value's string form —
+    the log metadata ``read_delta``'s ``partition_filter`` prunes on
+    WITHOUT opening any data file. The partition column stays IN the
+    files with its native type (no hive stripping)."""
     if mode not in ("append", "overwrite"):
         raise ValueError("mode must be 'append' or 'overwrite'")
     log_dir = os.path.join(table_dir, _LOG_DIR)
     os.makedirs(log_dir, exist_ok=True)
-    commits = sorted(int(f.split(".")[0])
-                     for f in os.listdir(log_dir) if f.endswith(".json"))
+    commits = _versions(log_dir)
     version = (commits[-1] + 1) if commits else 0
-    prev = active_files(table_dir) if (commits and mode == "overwrite") \
+    prev = active_adds(table_dir) if (commits and mode == "overwrite") \
         else []
     stage = f"stage-{version:010d}"
-    stage_dir = os.path.join(table_dir, stage)
-    staged = []  # (relpath, partitionValues)
-    if partition_by is None:
-        ds.write_parquet(stage_dir)
-        os.makedirs(stage_dir, exist_ok=True)  # empty ds writes no dir
-        staged = [(os.path.join(stage, f), {})
-                  for f in sorted(os.listdir(stage_dir))
-                  if f.endswith(".parquet")]
-    else:
-        # filter on the column's native value; the log's partitionValues
-        # and the directory name carry its string form (Delta spec)
-        for native in sorted(ds.unique(partition_by), key=str):
-            v = str(native)
-            vdir = os.path.join(stage_dir, f"{partition_by}={v}")
-            ds.filter(expr=f"{partition_by} == {native!r}") \
-                .write_parquet(vdir)
-            os.makedirs(vdir, exist_ok=True)
-            staged.extend(
-                (os.path.join(stage, f"{partition_by}={v}", f),
-                 {partition_by: v})
-                for f in sorted(os.listdir(vdir))
-                if f.endswith(".parquet"))
+
+    def _stage_block(block: pa.Table) -> pa.Table:
+        if partition_by is None:
+            groups = [(stage, {}, block)]
+        else:
+            col = block[partition_by]
+            groups = [(os.path.join(stage, f"{partition_by}={v}"),
+                       {partition_by: None if v is None else str(v)},
+                       block.filter(pc.is_null(col) if v is None
+                                    else pc.equal(col, v)))
+                      for v in pc.unique(col).to_pylist()]
+        adds = []
+        for sub, pvals, part in groups:
+            if part.num_rows == 0:
+                continue
+            rel = os.path.join(sub, f"part-{uuid.uuid4().hex}.parquet")
+            os.makedirs(os.path.join(table_dir, sub), exist_ok=True)
+            pq.write_table(part, os.path.join(table_dir, rel))
+            adds.append(json.dumps({
+                "path": rel,
+                "size": os.path.getsize(os.path.join(table_dir, rel)),
+                "partitionValues": pvals, "dataChange": True}))
+        return pa.table({"add": pa.array(adds, pa.string())})
+
+    staged = sorted((json.loads(r["add"]) for r in ds.map_batches(
+        _stage_block, batch_size=None, batch_format="pyarrow").take_all()),
+        key=lambda a: a["path"])
     if not staged:
         raise ValueError("write_delta produced no data files")
     actions = []
@@ -276,15 +288,10 @@ def write_delta(ds: "ray.data.Dataset", table_dir: str,
                           "format": {"provider": "parquet"},
                           "partitionColumns":
                               [partition_by] if partition_by else []}}))
-    for rel in prev:
-        actions.append(json.dumps({"remove": {
-            "path": os.path.relpath(rel, table_dir),
-            "dataChange": True, "deletionTimestamp": 0}}))
-    for rel, pvals in staged:
-        actions.append(json.dumps({"add": {
-            "path": rel,
-            "size": os.path.getsize(os.path.join(table_dir, rel)),
-            "partitionValues": pvals, "dataChange": True}}))
+    actions += [json.dumps({"remove": {"path": a["path"], "dataChange": True,
+                                       "deletionTimestamp": 0}})
+                for a in prev]
+    actions += [json.dumps({"add": a}) for a in staged]
     actions.append(json.dumps({"commitInfo": {
         "operation": "WRITE", "mode": mode, "version": version}}))
     # optimistic concurrency (the Delta commit rule): the version file
@@ -310,33 +317,26 @@ def vacuum_delta(table_dir: str) -> List[str]:
     leftovers of a crash between staging and commit (write_delta's
     atomicity note) or of an aborted compaction. Files referenced by
     ANY commit (even later removed) are kept so every historical
-    version stays time-travelable; real Delta's retention-window
-    semantics reduce to this sandbox rule with an infinite window.
-    Returns the deleted relative paths."""
+    version stays time-travelable. Unreferenced files modified within
+    the last ``_VACUUM_GRACE_S`` seconds are kept too: they may belong
+    to a writer that has staged but not yet committed (Delta's
+    retention window). Returns the deleted relative paths."""
     log_dir = os.path.join(table_dir, _LOG_DIR)
-    referenced = set()
-    for name in sorted(os.listdir(log_dir)):
-        if not name.endswith(".json"):
-            continue
-        with open(os.path.join(log_dir, name)) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                action = json.loads(line)
-                for key in ("add", "remove"):
-                    if key in action:
-                        referenced.add(action[key]["path"])
+    referenced = {action[key]["path"]
+                  for v in _versions(log_dir)
+                  for action in _actions(log_dir, v)
+                  for key in ("add", "remove") if key in action}
+    cutoff = time.time() - _VACUUM_GRACE_S
     deleted = []
     for root, _dirs, files in os.walk(table_dir):
         if os.path.basename(root) == _LOG_DIR:
             continue
         for f in files:
-            if not f.endswith(".parquet"):
-                continue
-            rel = os.path.relpath(os.path.join(root, f), table_dir)
-            if rel not in referenced:
-                os.remove(os.path.join(root, f))
+            path = os.path.join(root, f)
+            rel = os.path.relpath(path, table_dir)
+            if f.endswith(".parquet") and rel not in referenced \
+                    and os.path.getmtime(path) < cutoff:
+                os.remove(path)
                 deleted.append(rel)
     return sorted(deleted)
 
@@ -363,15 +363,12 @@ def checkpoint_delta(table_dir: str) -> int:
     (O(tail), not O(history)); the JSON commits stay on disk so full
     history and pre-checkpoint time travel keep working. Returns V."""
     log_dir = os.path.join(table_dir, _LOG_DIR)
-    commits = sorted(int(f.split(".")[0])
-                     for f in os.listdir(log_dir) if f.endswith(".json"))
+    commits = _versions(log_dir)
     if not commits:
         raise ValueError(f"no commits in {log_dir}")
     version = commits[-1]
     adds = active_adds(table_dir, version)
     live = [a["path"] for a in adds]
-    import pyarrow as pa
-
     pq.write_table(
         pa.table({
             "path": pa.array(live, pa.string()),
