@@ -550,11 +550,10 @@ def run_scored_extraction(
     Requires a vision scorer (donut-hf / idefics2-hf / det-vision)."""
     from ..stages.scorer import ScorerStage
 
-    docs = ray.data.read_parquet(documents_dir)
     # pixels mode reads only spans_out + the media store — don't assemble
     # and ship the (heavy) per-doc word structs it would never look at
-    ds = build_pipeline(docs.select_columns(["doc_id", "spans"]), media_dir,
-                        keep_words=not use_pixels, **kwargs)
+    ds = run_extraction(documents_dir, media_dir, keep_words=not use_pixels,
+                        **kwargs)
     ctor = {"model": model}
     if use_pixels:
         ctor.update(use_pixels=True, media_dir=media_dir)

@@ -207,7 +207,9 @@ def read_delta(table_dir: str, version: Optional[int] = None,
     adds = active_adds(table_dir, version)
     if partition_filter:
         adds = [a for a in adds
-                if all(a["partitionValues"].get(k) == str(v)
+                if all(k in a["partitionValues"]
+                       and a["partitionValues"][k] == (
+                           None if v is None else str(v))
                        for k, v in partition_filter.items())]
     files = [os.path.join(table_dir, a["path"]) for a in adds]
     if not files:

@@ -1,11 +1,11 @@
-"""Document-table source: partition-pruned reads + media-ref validation.
+"""Document-table source: column-pruned reads + media-ref validation.
 
 Reference analogs: S1 load_image / S2 validate_image_path
 (Ocr/src/cli/utils.py:74-117) — validation becomes an in-band predicate
-column (error channel) instead of raising, and the read itself prunes both
-COLUMNS (Arrow projection pushdown) and PARTITIONS (checkpoint resume skips
-completed `part=` directories at the read, so finished work never leaves
-storage).
+column (error channel) instead of raising, and the read prunes COLUMNS
+(Arrow projection pushdown). Partitions are not pruned here: the
+checkpointed writer (state/checkpoint.py) reads only the `part=`
+directories it has not completed, one at a time.
 """
 
 from __future__ import annotations
@@ -81,41 +81,6 @@ def read_table_auto(
     if columns:
         ds = ds.select_columns(list(columns))
     return ds
-
-
-def read_documents(
-    documents_dir: str,
-    columns: Optional[Sequence[str]] = None,
-    include_partitions: Optional[Sequence[str]] = None,
-) -> "ray.data.Dataset":
-    """Read the hash-partitioned documents table.
-
-    include_partitions: names like ["part=3", ...] — only those directories
-    are listed and read (resume-time pruning; the complement of
-    state.checkpoint.completed_partitions). None reads everything.
-    """
-    if include_partitions is None:
-        paths = [documents_dir]
-    else:
-        # read_parquet wants files when given a list -> expand each part dir
-        paths = []
-        for p in sorted(include_partitions):
-            d = os.path.join(documents_dir, p)
-            paths.extend(os.path.join(d, f) for f in sorted(os.listdir(d))
-                         if f.endswith(".parquet"))
-        if not paths:
-            return ray.data.from_arrow(_empty_table(columns))
-    ds = ray.data.read_parquet(paths)
-    if columns:
-        ds = ds.select_columns(list(columns))
-    return ds
-
-
-def _empty_table(columns) -> pa.Table:
-    from ..corpus import DOCUMENTS_SCHEMA
-
-    t = DOCUMENTS_SCHEMA.empty_table()
-    return t.select(list(columns)) if columns else t
 
 
 def validate_media_refs(ds: "ray.data.Dataset", media_dir: str) -> "ray.data.Dataset":

@@ -2,8 +2,9 @@
 
 Ray Data restarts a killed pipeline from scratch, so the checkpoint unit is
 made explicit here (SURVEY.md §4.2): the input corpus is hash-partitioned on
-doc_id (corpus.py writes ``documents/part={i}/``); each partition runs as its
-own streaming job and commits
+doc_id (corpus.py writes ``documents/part={i}/``); each partition runs the
+flagship's own Dataset (``run_extraction``, or ``run_scored_extraction``
+when a model is set) as its own streaming job and commits
 
     output_dir/part={i}/*.parquet          (the result rows)
     output_dir/_manifest/part-{i}.json     (lineage + counters, atomic rename)
@@ -12,7 +13,7 @@ A resumed run lists manifests first and SKIPS every partition whose manifest
 exists with a matching config hash — completed work is never recomputed, and
 a partition is only considered complete after its manifest rename (writes
 happen before the manifest, so a crash mid-partition re-runs just that
-partition; output overwrite makes the retry idempotent).
+partition; the torn output is deleted before the retry).
 
 The manifest replaces the reference's in-memory C# job dict
 (Api/ServiceSideDocumentProcessor.cs:20,659-778) — progress/counters live in
@@ -31,11 +32,11 @@ import os
 import time
 from typing import Any, Dict, List, Optional
 
+import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
-import ray.data
-
-from ..pipelines.extract import build_pipeline
+from ..pipelines.extract import run_extraction, run_scored_extraction
 from ..stages.preprocess import PreprocessConfig
 
 
@@ -80,6 +81,24 @@ def completed_partitions(output_dir: str, config_hash: str) -> List[str]:
     return done
 
 
+def _write_block(block: pa.Table, part_out: str) -> pa.Table:
+    """Write one result block as one parquet file in ``part_out`` and return
+    its counters as a one-row table. The file is named by a digest of the
+    block's smallest doc_id, so a retried task overwrites its own earlier
+    attempt instead of adding a second copy of its rows."""
+    if block.num_rows:
+        first = str(pc.min(block["doc_id"]).as_py())
+        name = hashlib.md5(first.encode()).hexdigest() + ".parquet"
+        pq.write_table(block, os.path.join(part_out, name))
+    return pa.table({
+        "docs_in": [block.num_rows],
+        "docs_ok": [pc.sum(pc.equal(block["status"], "done")).as_py() or 0],
+        "words": [pc.sum(block["n_words"]).as_py() or 0],
+        "spans_out": [
+            pc.sum(pc.list_value_length(block["spans_out"])).as_py() or 0],
+    })
+
+
 def run_partitioned(
     documents_dir: str,
     media_dir: str,
@@ -98,10 +117,12 @@ def run_partitioned(
 
     ``max_partitions`` limits how many incomplete partitions this invocation
     processes (used by the kill-and-resume test to simulate a dying run).
-    ``model`` appends the scorer actor-pool stage (stages/scorer.py) to each
-    partition's pipeline; the remaining knobs thread straight to
-    build_pipeline so the CLI surface is not silently dropped.
-    Returns a summary with per-partition status + aggregate counters.
+    Each incomplete partition runs ``run_extraction`` over its directory, or
+    ``run_scored_extraction`` (the scorer actor pool, stages/scorer.py) when
+    ``model`` is set; the remaining knobs thread straight to it so the CLI
+    surface is not silently dropped. The Dataset is consumed once: every
+    block is written and counted by the same task (``_write_block``).
+    Returns a summary with per-partition status.
     """
     chash = _config_hash(cfg, batch_size, model=model,
                          target_blocks=target_blocks)
@@ -118,8 +139,8 @@ def run_partitioned(
             summary["partitions"][part] = "deferred"
             continue
         t0 = time.time()
-        part_out_pre = os.path.join(output_dir, part)
-        if os.path.isdir(part_out_pre):
+        part_out = os.path.join(output_dir, part)
+        if os.path.isdir(part_out):
             # no manifest VALID FOR THIS CONFIG -> any existing output is a
             # torn previous attempt (or a different-config run). Remove the
             # partition's manifest FIRST — whatever config hash it carries —
@@ -134,51 +155,24 @@ def run_partitioned(
             stale_manifest = _manifest_path(output_dir, part)
             if os.path.exists(stale_manifest):
                 os.remove(stale_manifest)
-            shutil.rmtree(part_out_pre)
+            shutil.rmtree(part_out)
         in_path = os.path.join(documents_dir, part)
-        docs = ray.data.read_parquet(in_path).select_columns(
-            ["doc_id", "spans"])
-        ds = build_pipeline(docs, media_dir, cfg=cfg, batch_size=batch_size,
-                            html_mode=html_mode, use_actors=use_actors,
-                            target_blocks=target_blocks, debug_dir=debug_dir,
-                            engine=engine, keep_words=model is not None)
-        if model is not None:
-            from ..stages.scorer import ScorerStage
-
-            ds = ds.map_batches(
-                ScorerStage, fn_constructor_kwargs={"model": model},
-                batch_format="pyarrow", batch_size=batch_size,
-                concurrency=(1, 4), num_cpus=1)
-
-        part_out = os.path.join(output_dir, part)
+        kwargs = dict(cfg=cfg, batch_size=batch_size, html_mode=html_mode,
+                      use_actors=use_actors, target_blocks=target_blocks,
+                      debug_dir=debug_dir, engine=engine)
+        if model is None:
+            ds = run_extraction(in_path, media_dir, **kwargs)
+        else:
+            ds = run_scored_extraction(in_path, media_dir, model=model,
+                                       scorer_batch_size=batch_size, **kwargs)
         os.makedirs(part_out, exist_ok=True)
-        # DISTRIBUTED writers: the partition's result blocks are pinned once
-        # (materialize — the checkpoint unit is sized to fit the cluster's
-        # object store), written by Ray Data's parallel parquet writers
-        # (driver bandwidth is no longer the sink bottleneck), and the
-        # counters come from a tiny follow-up aggregate over the same
-        # blocks: one (1-row-per-block) partial table collected to the
-        # driver. The manifest rename below stays the atomic commit point.
-        mat = ds.materialize()
-        mat.write_parquet(part_out)
-
-        def _count_partial(b):
-            import pyarrow as pa
-            ok = pc.sum(pc.cast(pc.equal(b["status"], "done"), "int64")).as_py() or 0
-            return pa.table({
-                "docs_in": pa.array([b.num_rows], pa.int64()),
-                "docs_ok": pa.array([int(ok)], pa.int64()),
-                "words": pa.array([int(pc.sum(b["n_words"]).as_py() or 0)], pa.int64()),
-                "spans_out": pa.array(
-                    [int(pc.sum(pc.list_value_length(b["spans_out"])).as_py() or 0)],
-                    pa.int64()),
-            })
-
-        counters = {"docs_in": 0, "docs_ok": 0, "words": 0, "spans_out": 0}
-        for r in mat.map_batches(_count_partial,
-                                 batch_format="pyarrow").take_all():
-            for k in counters:
-                counters[k] += int(r[k])
+        # one pass: the task that writes a block also counts it; the
+        # manifest rename below stays the atomic commit point
+        rows = ds.map_batches(_write_block, batch_size=None,
+                              batch_format="pyarrow",
+                              fn_kwargs={"part_out": part_out}).take_all()
+        counters = {k: sum(int(r[k]) for r in rows)
+                    for k in ("docs_in", "docs_ok", "words", "spans_out")}
         counters["docs_failed"] = counters["docs_in"] - counters["docs_ok"]
 
         manifest = {

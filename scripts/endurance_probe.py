@@ -12,7 +12,8 @@ process to completion. Asserts:
     == docs_in per partition, and the written output holds exactly
     sum(docs_in) rows with no duplicate doc_ids across partitions.
 
-Writes the artifact to ENDURANCE_r05.json (repo root).
+Writes the artifact to out_json (default ENDURANCE_r05.json, repo root).
+Both runs use RAY_GRAFT_CPUS CPUs, else every CPU this process may run on.
 
 Usage: python scripts/endurance_probe.py [n_docs] [out_json]
 """
@@ -36,12 +37,13 @@ OUT_JSON = sys.argv[2] if len(sys.argv) > 2 else os.path.join(ROOT, "ENDURANCE_r
 BASE = "/tmp/dpray_endurance"
 OUT = os.path.join(BASE, "out")
 N_PARTS = 16
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or len(os.sched_getaffinity(0)))
 
 RUN_SNIPPET = f"""
 import sys
 sys.path.insert(0, {ROOT!r})
 import ray
-ray.init(address="local", num_cpus=32, include_dashboard=False,
+ray.init(address="local", num_cpus={NUM_CPUS}, include_dashboard=False,
          logging_level="ERROR")
 from documentprocessor_ray.state.checkpoint import run_partitioned
 s = run_partitioned("{BASE}/documents", "{BASE}/media", "{OUT}",
@@ -151,6 +153,7 @@ def main():
     artifact = {
         "n_docs": N_DOCS,
         "n_partitions": N_PARTS,
+        "num_cpus": NUM_CPUS,
         "committed_before_kill": len(pre),
         "recomputed_after_resume": 0,
         "skipped_on_resume": sorted(summary["skipped"]),

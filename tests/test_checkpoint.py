@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import json
 import os
+import uuid
 
+import pyarrow as pa
 import pyarrow.dataset as pads
 import pytest
 
 from documentprocessor_ray.state.checkpoint import (
     completed_partitions, list_partitions, run_partitioned, _config_hash,
+    _write_block,
 )
 
 
@@ -110,7 +113,69 @@ class TestCheckpointResume:
             assert c["docs_in"] == c["docs_ok"] + c["docs_failed"]
             assert m["lineage"]["input_files"]
             total_in += c["docs_in"]
+            # the counters describe exactly the rows written
+            rows = pads.dataset(os.path.join(out, p)).to_table().to_pylist()
+            assert c["docs_in"] == len(rows)
+            assert c["docs_ok"] == sum(r["status"] == "done" for r in rows)
+            assert c["words"] == sum(r["n_words"] for r in rows)
+            assert c["spans_out"] == sum(len(r["spans_out"]) for r in rows)
         assert total_in == 24
+
+    def test_each_doc_runs_the_span_stage_once(
+            self, ray_session, ckpt_corpus, tmp_path, monkeypatch):
+        """Rows are written and counted in one pass: the partition's
+        Dataset is executed once, so no doc goes through the span stage
+        a second time."""
+        import documentprocessor_ray.state.checkpoint as ck
+
+        docs_dir, media_dir = ckpt_corpus
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        real = ck.run_extraction
+
+        def record(batch):
+            (marks / uuid.uuid4().hex).write_text(
+                "\n".join(batch["doc_id"].to_pylist()))
+            return batch
+
+        def recorded(*a, **k):
+            return real(*a, **k).map_batches(record, batch_size=None,
+                                             batch_format="pyarrow")
+
+        monkeypatch.setattr(ck, "run_extraction", recorded)
+        run_partitioned(docs_dir, media_dir, str(tmp_path / "out"))
+        seen = [d for f in marks.iterdir()
+                for d in f.read_text().split("\n") if d]
+        want = pads.dataset(docs_dir).to_table()["doc_id"].to_pylist()
+        assert sorted(seen) == sorted(want)
+
+
+class TestWriteBlock:
+    def test_rewritten_block_leaves_one_file(self, tmp_path):
+        """A retried task writes the same block again: it must overwrite
+        its earlier file, not add a second copy of the rows."""
+        block = pa.table({
+            "doc_id": ["d2", "d1", "d3"],
+            "status": ["done", "failed", "done"],
+            "n_words": pa.array([3, 0, 4], pa.int32()),
+            "spans_out": [[{"order": 0}], [], [{"order": 0}, {"order": 1}]],
+        })
+        first = _write_block(block, str(tmp_path))
+        again = _write_block(block, str(tmp_path))
+        assert len(os.listdir(tmp_path)) == 1
+        assert pads.dataset(str(tmp_path)).to_table().equals(block)
+        assert first.equals(again)
+        assert first.to_pylist() == [
+            {"docs_in": 3, "docs_ok": 2, "words": 7, "spans_out": 3}]
+
+    def test_empty_block_writes_nothing(self, tmp_path):
+        block = pa.table({"doc_id": pa.array([], pa.string()),
+                          "status": pa.array([], pa.string()),
+                          "n_words": pa.array([], pa.int32()),
+                          "spans_out": pa.array([], pa.list_(pa.int64()))})
+        assert _write_block(block, str(tmp_path)).to_pylist() == [
+            {"docs_in": 0, "docs_ok": 0, "words": 0, "spans_out": 0}]
+        assert os.listdir(tmp_path) == []
 
 
 class TestTornPartitionOutput:
@@ -172,7 +237,7 @@ class TestTornPartitionOutput:
         def boom(*a, **k):
             raise RuntimeError("simulated crash mid-rerun")
 
-        monkeypatch.setattr(ck, "build_pipeline", boom)
+        monkeypatch.setattr(ck, "run_extraction", boom)
         from documentprocessor_ray.stages.preprocess import PreprocessConfig
         cfg2 = PreprocessConfig(apply_threshold=True)
         with pytest.raises(RuntimeError):

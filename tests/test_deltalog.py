@@ -434,3 +434,18 @@ class TestDeltaStaging:
         assert {a["partitionValues"]["k"] for a in active_adds(d)} == \
             {"a", None}
         assert read_delta(d).count() == 3
+
+    def test_null_partition_value_is_selectable(self, ray_session, tmp_path):
+        import ray.data
+
+        from documentprocessor_ray.sources.deltalog import (read_delta,
+                                                            write_delta)
+
+        d = str(tmp_path / "t")
+        t = pa.table({"k": pa.array(["a", None]),
+                      "v": pa.array([1, 2], pa.int64())})
+        write_delta(ray.data.from_arrow(t), d, partition_by="k")
+        assert read_delta(d, partition_filter={"k": None}).take_all() == \
+            [{"k": None, "v": 2}]
+        assert read_delta(d, partition_filter={"k": "a"}).take_all() == \
+            [{"k": "a", "v": 1}]

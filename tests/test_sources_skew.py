@@ -1,5 +1,5 @@
-"""Partition-pruned source reads, media-ref validation, and corrupt media
-staying in the in-band error channel."""
+"""Media-ref validation and corrupt media staying in the in-band error
+channel."""
 
 from __future__ import annotations
 
@@ -9,28 +9,13 @@ import pytest
 
 import ray.data
 
-from documentprocessor_ray.sources.documents import read_documents, validate_media_refs
+from documentprocessor_ray.sources.documents import read_table_auto, validate_media_refs
 
 
 class TestSources:
-    def test_partition_pruned_read(self, ray_session, small_corpus):
-        docs_dir, _ = small_corpus
-        full = read_documents(docs_dir).count()
-        parts = sorted(d for d in os.listdir(docs_dir) if d.startswith("part="))
-        pruned = read_documents(docs_dir, include_partitions=parts[:2])
-        sub = pruned.count()
-        assert 0 < sub < full
-        only = read_documents(docs_dir, columns=["doc_id"],
-                              include_partitions=parts[:1])
-        assert only.schema().names == ["doc_id"]
-
-    def test_empty_partition_list(self, ray_session, small_corpus):
-        docs_dir, _ = small_corpus
-        assert read_documents(docs_dir, include_partitions=[]).count() == 0
-
     def test_validate_media_refs(self, ray_session, small_corpus):
         docs_dir, media_dir = small_corpus
-        ds = validate_media_refs(read_documents(docs_dir), media_dir)
+        ds = validate_media_refs(read_table_auto(docs_dir), media_dir)
         df = ds.to_pandas()
         assert (df["n_missing_refs"] == 0).all()
         assert df["n_media_refs"].sum() > 0
@@ -38,7 +23,7 @@ class TestSources:
     def test_validate_flags_missing(self, ray_session, small_corpus, tmp_path):
         docs_dir, _ = small_corpus
         # empty media dir: every ref is missing, nothing raises
-        ds = validate_media_refs(read_documents(docs_dir), str(tmp_path))
+        ds = validate_media_refs(read_table_auto(docs_dir), str(tmp_path))
         df = ds.to_pandas()
         assert (df["n_missing_refs"] == df["n_media_refs"]).all()
 
