@@ -25,7 +25,6 @@ class JobConfig:
     output_dir: str = ""
     batch_size: int = 64
     use_actors: bool = False
-    target_blocks: Optional[int] = None
     model: Optional[str] = None          # None = heuristics only; "rule"/"null"
     max_partitions: Optional[int] = None
     debug_dir: Optional[str] = None      # S7 debug sink, off by default

@@ -50,9 +50,8 @@ _ANCHOR_RE = re.compile(ANCHOR_PATTERN)
 
 def main_text_of(html: str) -> str:
     """Scalar twin of extract_main_content_batch for one HTML string (the
-    flagship's per-span path; html spans are a small fraction of a batch,
-    so the scalar call reuses the compiled module regexes + the scalar
-    normalize chain instead of a second Arrow pass)."""
+    oracle's per-span path; the flagship calls the batch function, so every
+    oracle check compares the two)."""
     from ..oracle.textnorm import normalize_text
 
     kept: List[str] = []

@@ -119,7 +119,7 @@ def parse_dom(html: str) -> Tuple[List[_El], List[str]]:
 
 def dom_main_text_of(html: str) -> str:
     """Scalar twin of extract_dom_main_batch's winner text for one HTML
-    string (the flagship's per-span DOM-heuristics path)."""
+    string (the oracle's per-span DOM-heuristics path)."""
     from ..oracle.textnorm import normalize_text
 
     elements, texts = parse_dom(html or "")

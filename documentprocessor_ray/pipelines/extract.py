@@ -3,6 +3,7 @@
 Physical plan (default):
 
     read_parquet(documents)                      # (doc_id, spans), one block per CPU
+      -> materialize()                           # the read ends before the span stage
       -> map_batches(span_task, batch_size=B)    # B whole documents per call:
                                                  #   explode_spans -> span kernels
                                                  #   -> assemble_bucket (SpanProcessor)
@@ -10,12 +11,12 @@ Physical plan (default):
 
 There is no all-to-all: a document never leaves its batch, so reassembly
 sees every fragment of it in the task that produced them. ``B`` counts
-documents (DOCS_PER_SPAN_TASK), so the read stays a separate operator.
+documents (DOCS_PER_SPAN_TASK).
 
-The read is one block per CPU (sources/documents.read_table_auto says
-why), and run_extraction gives the flagship Dataset a block target sized
-to its output (SPAN_BLOCK_BYTES says why), so every span task starts at
-once; the process-global DataContext is never set.
+run_extraction materializes the read, which is one block per CPU
+(sources/documents.read_table_auto), and gives the flagship Dataset a
+block target sized to its output (SPAN_BLOCK_BYTES says why), so every
+span task starts at once; the process-global DataContext is never set.
 A span task runs one read block in calls of ``B`` documents each.
 
 Every stage is Arrow-native (batch_format="pyarrow"); per-page OCR is numpy
@@ -100,7 +101,7 @@ RESULT_SCHEMA_WORDS = RESULT_SCHEMA.append(pa.field("words", pa.list_(WORD_STRUC
 
 # Documents per span task (build_pipeline's batch_size default, which the
 # benchmark's floor pass reads to batch at the same size). A doc count,
-# never None: None lets Ray fuse the read into the span task.
+# never None: None makes a span task's batch a whole read block.
 # 16 beat 8 on both perfbench workloads (4-core VM); below 8, per-task and
 # driver-memory overhead grow faster than the parallelism pays.
 DOCS_PER_SPAN_TASK = 16
@@ -227,26 +228,24 @@ class SpanProcessor:
         # pay the per-image OCR. Single operator — no dataset-level branch,
         # so the plan stays one fused pass with no union barrier.
         norm_all = normalize_text_arrow(batch["text"].combine_chunks()).to_pylist()
-        raw_texts = None  # lazily pulled only when the batch has html spans
+        # html rows: ONE call of the batch boilerplate (or DOM) kernel over
+        # the batch's html spans; the oracle keeps the scalar twin
+        html_rows = [i for i, k in enumerate(out["kind"]) if k == "html"]
+        if html_rows:
+            if self.html_mode == "dom":
+                from ..functions.dom import extract_dom_main_batch as kernel
+            else:
+                from ..functions.boilerplate import \
+                    extract_main_content_batch as kernel
+            html = batch.select(["doc_id", "text"]).take(pa.array(html_rows))
+            main = kernel(html, html_col="text")["main_text"].to_pylist()
+            for i, text in zip(html_rows, main):
+                out["norm_text"][i] = text
         for i in range(n):
             kind = out["kind"][i]
             try:
                 if kind == "text":
                     out["norm_text"][i] = norm_all[i]
-                elif kind == "html":
-                    # boilerplate strip (north rule): html spans are a
-                    # small fraction of a batch, so the scalar helper
-                    # (compiled module regexes) beats a second Arrow pass
-                    if raw_texts is None:
-                        raw_texts = batch["text"].to_pylist()
-                    if self.html_mode == "dom":
-                        from ..functions.dom import dom_main_text_of
-
-                        out["norm_text"][i] = dom_main_text_of(raw_texts[i])
-                    else:
-                        from ..functions.boilerplate import main_text_of
-
-                        out["norm_text"][i] = main_text_of(raw_texts[i])
                 elif kind == "pdf":
                     # PDF layout parse (north rule): blob from the media
                     # store, runs in reading order, one output span per run
@@ -444,7 +443,6 @@ def build_pipeline(
     cfg: Optional[PreprocessConfig] = None,
     concurrency: Optional[int] = None,
     batch_size: int = DOCS_PER_SPAN_TASK,
-    target_blocks: Optional[int] = None,
     use_actors: bool = False,
     keep_words: bool = False,
     debug_dir: Optional[str] = None,
@@ -466,9 +464,6 @@ def build_pipeline(
     timeout at small CPU counts): the right shape once the kernel holds
     heavy state (real model weights), cf. reference lazy singletons
     (receipt_processor.py:50-54).
-
-    ``target_blocks`` repartitions the documents ahead of the span stage.
-    That is an all-to-all before the UDF, so it is off by default.
     """
     proc_kwargs = {"media_dir": media_dir, "cfg": cfg,
                    "debug_dir": debug_dir, "log_dir": log_dir,
@@ -488,8 +483,6 @@ def build_pipeline(
             num_cpus=1)
     else:
         udf, udf_kwargs = span_task, dict(fn_kwargs=proc_kwargs)
-    if target_blocks:
-        docs = docs.repartition(target_blocks)
     return docs.map_batches(udf, batch_format="pyarrow", batch_size=batch_size,
                             **udf_kwargs)
 
@@ -503,8 +496,15 @@ def run_extraction(
     **kwargs,
 ) -> "ray.data.Dataset":
     """Read the documents table (Lance when available/detected, parquet
-    fallback — sources/documents.read_table_auto) and build the pipeline;
-    optionally write partitioned output (parquet|lance|json).
+    fallback — sources/documents.read_table_auto), materialize it, and
+    build the pipeline over the materialized documents; optionally write
+    partitioned output (parquet|lance|json).
+
+    The read runs here, before the span stage: while a read operator is
+    alive, Ray Data keeps a share of the CPUs for it, so a streamed read
+    admits the span tasks a 0.1 s executor tick apart. Over materialized
+    blocks every span task starts at once. Past the object store the
+    blocks spill to disk.
 
     The read's Dataset context, which every Dataset derived from it
     shares, gets ``target_max_block_size = SPAN_BLOCK_BYTES``; the
@@ -514,7 +514,8 @@ def run_extraction(
 
     docs = read_table_auto(documents_dir, fmt=input_format)
     docs.context.target_max_block_size = SPAN_BLOCK_BYTES
-    ds = build_pipeline(docs.select_columns(["doc_id", "spans"]), media_dir, **kwargs)
+    docs = docs.select_columns(["doc_id", "spans"]).materialize()
+    ds = build_pipeline(docs, media_dir, **kwargs)
     if output_dir:
         write_results(ds, output_dir, fmt=output_format)
     return ds

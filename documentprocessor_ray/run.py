@@ -31,8 +31,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--max-partitions", type=int)
     ap.add_argument("--use-actors", action="store_true", default=None,
                     help="span stage as an actor pool (heavy engine state)")
-    ap.add_argument("--target-blocks", type=int,
-                    help="repartition span stream to this many blocks")
     ap.add_argument("--debug-dir", help="S7 per-page debug image sink")
     ap.add_argument("--html-mode", choices=["blocks", "dom"],
                     help="html-span extractor: flat block strip or DOM heuristics")
@@ -75,7 +73,6 @@ def main(argv=None) -> int:
         "engine": args.engine,
         "max_partitions": args.max_partitions,
         "use_actors": args.use_actors,
-        "target_blocks": args.target_blocks,
         "debug_dir": args.debug_dir,
         "html_mode": args.html_mode,
         **({"preprocess": pre_overrides} if pre_overrides else {}),
@@ -98,8 +95,7 @@ def main(argv=None) -> int:
         cfg.documents_dir, cfg.media_dir, cfg.output_dir,
         cfg=cfg.preprocess, batch_size=cfg.batch_size,
         max_partitions=cfg.max_partitions,
-        model=cfg.model, use_actors=cfg.use_actors,
-        target_blocks=cfg.target_blocks, debug_dir=cfg.debug_dir,
+        model=cfg.model, use_actors=cfg.use_actors, debug_dir=cfg.debug_dir,
         engine=cfg.engine, html_mode=cfg.html_mode,
     )
     print(json.dumps(summary))

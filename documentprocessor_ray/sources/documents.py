@@ -57,15 +57,14 @@ def read_table_auto(
 
     The read asks for one block per CPU. Ray Data then runs min(files or
     fragments, CPUs) read tasks, and splits their output when there are
-    fewer files than CPUs, so every CPU gets a span task. It does not run
-    one read task per file: while a read operator is running, Ray Data
-    gives it and each downstream operator about an equal share of the CPUs
-    (ray/data/_internal/execution/resource_manager.py:363-387), and once a
-    downstream task is running it only notices finished read tasks on its
-    0.1 s wait tick (streaming_executor_state.py:500-505). Many
-    few-millisecond read tasks thus take a tick each to hand on; a read of
-    one task per CPU finishes in the executor's first ticks, so every span
-    task can start at once."""
+    fewer files than CPUs, so every CPU gets a span task.
+    pipelines.extract.run_extraction materializes this read before its
+    span stage starts: while a read operator is alive, Ray Data keeps
+    about an equal share of the CPUs for it and for each downstream
+    operator (ray/data/_internal/execution/resource_manager.py:363-387), so
+    a streamed read admits the span tasks one 0.1 s executor wait tick
+    apart (streaming_executor_state.py:500-505). One read task per CPU
+    keeps that eager read to a few tasks rather than one per file."""
     if fmt is None:
         fmt = "lance" if _looks_like_lance(path) else "parquet"
     if fmt == "lance":

@@ -41,13 +41,11 @@ from ..stages.preprocess import PreprocessConfig
 
 
 def _config_hash(cfg: Optional[PreprocessConfig], batch_size: int,
-                 model: Optional[str] = None,
-                 target_blocks: Optional[int] = None) -> str:
+                 model: Optional[str] = None) -> str:
     payload = json.dumps({
         "cfg": vars(cfg) if cfg else vars(PreprocessConfig()),
         "batch_size": batch_size,
         "model": model,
-        "target_blocks": target_blocks,
     }, sort_keys=True, default=str)
     return hashlib.md5(payload.encode()).hexdigest()
 
@@ -108,7 +106,6 @@ def run_partitioned(
     max_partitions: Optional[int] = None,
     model: Optional[str] = None,
     use_actors: bool = False,
-    target_blocks: Optional[int] = None,
     debug_dir: Optional[str] = None,
     engine=None,
     html_mode: str = "blocks",
@@ -124,8 +121,7 @@ def run_partitioned(
     block is written and counted by the same task (``_write_block``).
     Returns a summary with per-partition status.
     """
-    chash = _config_hash(cfg, batch_size, model=model,
-                         target_blocks=target_blocks)
+    chash = _config_hash(cfg, batch_size, model=model)
     parts = list_partitions(documents_dir)
     done = set(completed_partitions(output_dir, chash))
     summary: Dict[str, Any] = {"config_hash": chash, "partitions": {}, "skipped": sorted(done)}
@@ -158,8 +154,8 @@ def run_partitioned(
             shutil.rmtree(part_out)
         in_path = os.path.join(documents_dir, part)
         kwargs = dict(cfg=cfg, batch_size=batch_size, html_mode=html_mode,
-                      use_actors=use_actors, target_blocks=target_blocks,
-                      debug_dir=debug_dir, engine=engine)
+                      use_actors=use_actors, debug_dir=debug_dir,
+                      engine=engine)
         if model is None:
             ds = run_extraction(in_path, media_dir, **kwargs)
         else:

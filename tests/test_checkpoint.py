@@ -205,7 +205,7 @@ class TestTornPartitionOutput:
         assert sorted(got["doc_id"].to_pylist()) == sorted(want["doc_id"].to_pylist())
 
     def test_model_flag_reaches_scorer(self, ray_session, ckpt_corpus, tmp_path):
-        """ADVICE fix: model/use_actors/target_blocks thread through
+        """ADVICE fix: model/use_actors thread through
         run_partitioned instead of being silently dropped."""
         docs_dir, media_dir = ckpt_corpus
         out = str(tmp_path / "scored")

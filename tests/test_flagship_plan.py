@@ -48,12 +48,24 @@ def default_output(ray_session, small_corpus):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"target_blocks": 4},
     {"use_actors": True},
     {"batch_size": 1},
 ], ids=lambda kw: next(iter(kw)))
 def test_plan_variants_give_equal_output(default_output, small_corpus, kwargs):
     assert _canon(run_extraction(*small_corpus, **kwargs)) == default_output
+
+
+def test_documents_are_read_before_the_span_stage(default_output, small_corpus,
+                                                  tmp_path):
+    """run_extraction materializes the documents read: the returned
+    Dataset no longer needs the documents directory."""
+    import shutil
+
+    docs_dir = str(tmp_path / "documents")
+    shutil.copytree(small_corpus[0], docs_dir)
+    ds = run_extraction(docs_dir, small_corpus[1])
+    shutil.move(docs_dir, str(tmp_path / "moved"))
+    assert _canon(ds) == default_output
 
 
 def test_one_cpu_limit_gives_equal_output(default_output, small_corpus):

@@ -13,14 +13,15 @@ from documentprocessor_ray.oracle.document import process_document
 from documentprocessor_ray.pipelines.extract import run_extraction
 
 
-def _oracle_results(docs_dir, media_dir):
+def _oracle_results(docs_dir, media_dir, html_mode="blocks"):
     import pyarrow.dataset as pads
 
     table = pads.dataset(docs_dir, partitioning="hive").to_table()
     store = MediaStore(media_dir)
     out = {}
     for row in table.to_pylist():
-        out[row["doc_id"]] = process_document(row["doc_id"], row["spans"], store.load)
+        out[row["doc_id"]] = process_document(row["doc_id"], row["spans"],
+                                              store.load, html_mode=html_mode)
     return out
 
 
@@ -177,11 +178,15 @@ class TestHtmlSpans:
         kinds = {s["kind"] for row in table.to_pylist() for s in row["spans"]}
         assert "html" in kinds
 
-    def test_span_equality_with_html(self, ray_session, html_corpus):
+    @staticmethod
+    def _assert_html_spans_equal(html_corpus, **kwargs):
+        """The flagship's batched html kernel against the oracle's scalar
+        one, per document."""
         docs_dir, media_dir = html_corpus
-        ds = run_extraction(docs_dir, media_dir, batch_size=8)
+        ds = run_extraction(docs_dir, media_dir, **kwargs)
         ray_rows = {r["doc_id"]: r for r in ds.take_all()}
-        oracle = _oracle_results(docs_dir, media_dir)
+        oracle = _oracle_results(docs_dir, media_dir,
+                                 kwargs.get("html_mode", "blocks"))
         assert set(ray_rows) == set(oracle)
         n_html_spans = 0
         for did, o in oracle.items():
@@ -192,6 +197,14 @@ class TestHtmlSpans:
             assert got == want, did
             n_html_spans += sum(1 for s in want if s[0] == "html")
         assert n_html_spans > 0
+
+    def test_span_equality_with_html(self, ray_session, html_corpus):
+        self._assert_html_spans_equal(html_corpus, batch_size=8)
+
+    def test_span_equality_with_html_dom_mode(self, ray_session, html_corpus):
+        """html_mode='dom' at the default batch size: many html spans per
+        call of the batched DOM kernel."""
+        self._assert_html_spans_equal(html_corpus, html_mode="dom")
 
     def test_html_strip_is_observable(self, ray_session, html_corpus):
         """The nav/footer must actually die: no output html span contains
