@@ -24,7 +24,6 @@ class JobConfig:
     media_dir: str = ""
     output_dir: str = ""
     batch_size: int = 64
-    use_actors: bool = False
     model: Optional[str] = None          # None = heuristics only; "rule"/"null"
     max_partitions: Optional[int] = None
     debug_dir: Optional[str] = None      # S7 debug sink, off by default

@@ -1,17 +1,17 @@
 """Flagship Ray-Data extraction pipeline.
 
-Physical plan (default):
+Physical plan:
 
     read_parquet(documents)                      # (doc_id, spans), one block per CPU
       -> materialize()                           # the read ends before the span stage
-      -> map_batches(span_task, batch_size=B)    # B whole documents per call:
-                                                 #   explode_spans -> span kernels
-                                                 #   -> assemble_bucket (SpanProcessor)
+      -> map_batches(span_task, batch_size=B)    # B whole documents per call
+                                                 #   (SpanProcessor)
       -> result rows (spans_out invariant + heuristic fields)
 
-There is no all-to-all: a document never leaves its batch, so reassembly
-sees every fragment of it in the task that produced them. ``B`` counts
-documents (DOCS_PER_SPAN_TASK).
+There is no all-to-all: a document never leaves its batch, and the span
+UDF walks each input row's own spans, so a row's result depends on that
+row alone, whichever rows share its batch. ``B`` counts documents
+(DOCS_PER_SPAN_TASK).
 
 run_extraction materializes the read, which is one block per CPU
 (sources/documents.read_table_auto), and gives the flagship Dataset a
@@ -27,10 +27,11 @@ order, so batching cannot break it (SURVEY.md section 7.4).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -41,24 +42,13 @@ from ..oracle.document import media_span_lines
 from ..oracle.textnorm import normalize_text_arrow
 from ..stages.preprocess import PreprocessConfig, preprocess
 
-# --- intermediate + output Arrow schemas (explicit so empty blocks stay typed) ---
+# --- output Arrow schemas (explicit so empty blocks stay typed) ---
 
 WORD_STRUCT = pa.struct([
     ("text", pa.string()),
     ("x0", pa.int32()), ("y0", pa.int32()), ("x1", pa.int32()), ("y1", pa.int32()),
     ("confidence", pa.float64()),
 ])
-SPAN_ROW_SCHEMA = pa.schema([
-    ("doc_id", pa.string()),
-    ("offset", pa.int32()),
-    ("kind", pa.string()),
-    ("media_ref", pa.string()),
-    ("norm_text", pa.string()),
-    ("line_texts", pa.list_(pa.string())),
-    ("words", pa.list_(WORD_STRUCT)),
-    ("error", pa.string()),
-])
-
 BOX_STRUCT = pa.struct([
     ("x0", pa.int32()), ("y0", pa.int32()), ("x1", pa.int32()), ("y1", pa.int32()),
 ])
@@ -118,25 +108,25 @@ DOCS_PER_SPAN_TASK = 16
 SPAN_BLOCK_BYTES = 1 << 20
 
 # Documents per coarse doc-hash bucket (explode_spans' pkey), the width
-# sharding.auto_buckets derives from a doc count. The flagship plan does not
-# shuffle; the benchmark's Ray Data shuffle floor (perfbench) groups exploded
-# spans on these buckets.
+# sharding.auto_buckets derives from a doc count. Only the benchmark's Ray
+# Data shuffle floor (perfbench/layers.py) and tests/test_sharding.py use it.
 DOCS_PER_BUCKET = 4096
 
 
 def explode_spans(batch: pa.Table, num_buckets: int = 64) -> pa.Table:
     """(doc_id, spans) -> one row per span; empty-span docs get a sentinel row
-    (kind='empty', offset=-1) so reassembly preserves them. Each row carries
-    pkey = crc32(doc_id) % num_buckets, a coarse doc-hash bucket. The span
-    stage ignores it; the benchmark's Ray Data shuffle floor (perfbench)
-    groups exploded spans on it, at a width from sharding.auto_buckets.
+    (kind='empty', offset=-1). Each row carries pkey = crc32(doc_id) %
+    num_buckets, a coarse doc-hash bucket.
+
+    The flagship does not call it: only perfbench/layers.py (its kernel
+    pass and its Ray Data shuffle floor, which groups exploded spans on
+    pkey at a width from sharding.auto_buckets) and tests/test_sharding.py
+    do.
 
     Zero-copy explode: pyarrow list_flatten / list_parent_indices unnest the
     span structs in C++; the only Python loop is one crc32 per DOC (not per
     span) for pkey."""
     import zlib
-
-    import pyarrow.compute as pc
 
     spans = batch["spans"].combine_chunks()
     doc_ids = batch["doc_id"].combine_chunks()
@@ -174,16 +164,25 @@ def explode_spans(batch: pa.Table, num_buckets: int = 64) -> pa.Table:
     return out
 
 
+# (kind, media_ref, output texts, normalized words, error) of one span
+_Span = Tuple[str, str, List[str], List[Dict[str, Any]], Optional[str]]
+
+
 class SpanProcessor:
     """The flagship's one span-stage UDF: it takes a batch of whole
-    documents and returns their result rows, explode_spans -> span kernels
-    -> assemble_bucket.
+    documents and returns one result row per input row, in input order.
 
-    Span kernels: text spans -> normalize path; html -> boilerplate strip;
-    pdf -> layout parse; media -> preprocess + OCR + box-normalize. The OCR
-    templates and preprocess config load once per instance: once per actor,
-    or once per worker process through ``span_task`` (reference lazy
-    singletons, receipt_processor.py:50-54, become __init__ state)."""
+    The batch's spans are flattened once, so document ``d``'s spans are
+    the contiguous slice ``[start_d, start_d + len_d)``. Span kernels run
+    over the flat spans: text -> ONE vectorized normalize over the batch,
+    html -> ONE batched boilerplate (or DOM) call, pdf -> layout parse,
+    media -> preprocess + OCR + box-normalize. Each document's slice is
+    then ordered by offset, stably as the oracle's ``sorted``, and
+    assembled alone: rows sharing a ``doc_id`` stay separate rows.
+
+    The OCR templates and preprocess config load once per instance, once
+    per worker process through ``span_task`` (reference lazy singletons,
+    receipt_processor.py:50-54, become __init__ state)."""
 
     def __init__(self, media_dir: str, cfg: Optional[PreprocessConfig] = None,
                  debug_dir: Optional[str] = None, log_dir: Optional[str] = None,
@@ -193,7 +192,7 @@ class SpanProcessor:
 
         self.store = MediaStore(media_dir)
         # injectable engine seam (A1-A3): name from the registry or a class
-        # shipped via cloudpickle; resolved ONCE per actor/worker here
+        # shipped via cloudpickle; resolved ONCE per worker here
         self.kernel = get_engine(engine)
         self.cfg = cfg or PreprocessConfig()
         self.debug_dir = debug_dir  # S7 tee sink, off by default
@@ -207,108 +206,110 @@ class SpanProcessor:
         self.keep_words = keep_words
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return assemble_bucket(self.process_spans(explode_spans(batch)),
-                               keep_words=self.keep_words)
+        spans = batch["spans"].combine_chunks()
+        lens = pc.fill_null(pc.list_value_length(spans), 0).to_pylist()
+        flat = pc.list_flatten(spans)
+        offsets = pc.struct_field(flat, "offset").to_pylist()
+        done = self._run_spans(
+            pc.struct_field(flat, "kind").to_pylist(),
+            pc.fill_null(pc.struct_field(flat, "media_ref"), "").to_pylist(),
+            pc.fill_null(pc.cast(pc.struct_field(flat, "text"), pa.string()), ""))
+        rows, start = [], 0
+        for doc_id, n in zip(batch["doc_id"].to_pylist(), lens):
+            # stable, as the oracle's sorted(spans, key=offset)
+            order = sorted(range(start, start + n), key=offsets.__getitem__)
+            rows.append(_assemble_doc(doc_id, [done[i] for i in order],
+                                      keep_words=self.keep_words))
+            start += n
+        return pa.Table.from_pylist(
+            rows, schema=RESULT_SCHEMA_WORDS if self.keep_words else RESULT_SCHEMA)
 
-    def process_spans(self, batch: pa.Table) -> pa.Table:
-        """Exploded span rows -> processed span rows (SPAN_ROW_SCHEMA)."""
-        n = batch.num_rows
-        out: Dict[str, List[Any]] = {
-            "doc_id": batch["doc_id"].to_pylist(),
-            "offset": batch["offset"].to_pylist(),
-            "kind": batch["kind"].to_pylist(),
-            "media_ref": batch["media_ref"].to_pylist(),
-            "norm_text": [""] * n,
-            "line_texts": [[] for _ in range(n)],
-            "words": [[] for _ in range(n)],
-            "error": [None] * n,
-        }
-        # text rows: ONE vectorized RE2 normalize over the batch's text
-        # column (the main-content-extraction hot path); media rows below
-        # pay the per-image OCR. Single operator — no dataset-level branch,
-        # so the plan stays one fused pass with no union barrier.
-        norm_all = normalize_text_arrow(batch["text"].combine_chunks()).to_pylist()
-        # html rows: ONE call of the batch boilerplate (or DOM) kernel over
+    def _run_spans(self, kinds: List[str], refs: List[str],
+                   texts: pa.Array) -> List[_Span]:
+        """Flat spans -> one (kind, media_ref, output texts, normalized
+        words, error) per span; a kernel failure stays in-band (M31)."""
+        n = len(kinds)
+        out_texts: List[List[str]] = [[] for _ in range(n)]
+        words: List[List[Dict[str, Any]]] = [[] for _ in range(n)]
+        errors: List[Optional[str]] = [None] * n
+        # text spans: ONE vectorized RE2 normalize over the batch's text
+        # column (the main-content-extraction hot path)
+        norm_all = normalize_text_arrow(texts).to_pylist()
+        # html spans: ONE call of the batch boilerplate (or DOM) kernel over
         # the batch's html spans; the oracle keeps the scalar twin
-        html_rows = [i for i, k in enumerate(out["kind"]) if k == "html"]
+        html_rows = [i for i, k in enumerate(kinds) if k == "html"]
         if html_rows:
             if self.html_mode == "dom":
                 from ..functions.dom import extract_dom_main_batch as kernel
             else:
                 from ..functions.boilerplate import \
                     extract_main_content_batch as kernel
-            html = batch.select(["doc_id", "text"]).take(pa.array(html_rows))
+            html = pa.table({"doc_id": pa.nulls(len(html_rows), pa.string()),
+                             "text": texts.take(pa.array(html_rows))})
             main = kernel(html, html_col="text")["main_text"].to_pylist()
             for i, text in zip(html_rows, main):
-                out["norm_text"][i] = text
-        for i in range(n):
-            kind = out["kind"][i]
+                out_texts[i] = [text]
+        for i, kind in enumerate(kinds):
             try:
                 if kind == "text":
-                    out["norm_text"][i] = norm_all[i]
+                    out_texts[i] = [norm_all[i]]
                 elif kind == "pdf":
                     # PDF layout parse (north rule): blob from the media
-                    # store, runs in reading order, one output span per run
+                    # store, one output span per reading-order run
                     from ..functions.pdf import parse_pdf_text
 
-                    blob = self.store.load_bytes(out["media_ref"][i])
+                    blob = self.store.load_bytes(refs[i])
                     if blob is None:
-                        raise FileNotFoundError(
-                            f"media not found: {out['media_ref'][i]}")
+                        raise FileNotFoundError(f"media not found: {refs[i]}")
                     runs, _ = parse_pdf_text(blob)
-                    out["line_texts"][i] = [r[3] for r in runs]
+                    out_texts[i] = [r[3] for r in runs]
                 elif kind == "media":
-                    ref = out["media_ref"][i]
-                    image = self.store.load(ref)
-                    if image is None:
-                        raise FileNotFoundError(f"media not found: {ref}")
-                    if self.debug_dir:
-                        steps = [("source", image)]
-                        pre = preprocess(image, self.cfg,
-                                         tap=lambda nm, im, _s=steps:
-                                         _s.append((nm, im)))
-                    else:
-                        pre = preprocess(image, self.cfg)
-                    h, w = pre.shape[:2]  # dims the OCR saw (resample rescales)
-                    words = self.kernel.detect_and_recognize(pre)
-                    norm = normalize_boxes(words, w, h)
-                    if self.debug_dir:
-                        from ..stages.debug import save_steps
-                        save_steps(self.debug_dir, ref, steps, pre,
-                                   words_px=words, words_norm=norm)
-                    out["words"][i] = [
-                        {"text": wd["text"], "x0": wd["box"][0], "y0": wd["box"][1],
-                         "x1": wd["box"][2], "y1": wd["box"][3],
-                         "confidence": wd["confidence"]}
-                        for wd in norm
-                    ]
-                    out["line_texts"][i] = media_span_lines(norm)
+                    words[i] = self._ocr(refs[i])
+                    out_texts[i] = media_span_lines(words[i])
             except Exception as e:  # in-band error channel (M31)
-                out["error"][i] = str(e)
+                errors[i] = str(e)
         if self.log_dir:
             from ..stages.debug import log_event
             log_event(self.log_dir, "batch_done", rows=n,
-                      media=sum(1 for k in out["kind"] if k == "media"),
-                      errors=sum(1 for e in out["error"] if e))
-        return pa.table(
-            {k: pa.array(v, SPAN_ROW_SCHEMA.field(k).type) for k, v in out.items()},
-            schema=SPAN_ROW_SCHEMA,
-        )
+                      media=kinds.count("media"),
+                      errors=sum(1 for e in errors if e))
+        return list(zip(kinds, refs, out_texts, words, errors))
+
+    def _ocr(self, ref: str) -> List[Dict[str, Any]]:
+        """One media page -> its normalized words (preprocess + OCR +
+        box-normalize), teed to ``debug_dir`` when set."""
+        image = self.store.load(ref)
+        if image is None:
+            raise FileNotFoundError(f"media not found: {ref}")
+        if self.debug_dir:
+            steps = [("source", image)]
+            pre = preprocess(image, self.cfg,
+                             tap=lambda nm, im: steps.append((nm, im)))
+        else:
+            pre = preprocess(image, self.cfg)
+        h, w = pre.shape[:2]  # dims the OCR saw (resample rescales)
+        words = self.kernel.detect_and_recognize(pre)
+        norm = normalize_boxes(words, w, h)
+        if self.debug_dir:
+            from ..stages.debug import save_steps
+            save_steps(self.debug_dir, ref, steps, pre,
+                       words_px=words, words_norm=norm)
+        return norm
 
 
-# Per-worker-process stage cache for the task-pool path: Ray reuses worker
-# processes across map_batches tasks, so module-level state IS "load once per
-# worker" — the same amortization an actor pool gives, without paying actor
-# startup. Used when the stage state is cheap/deterministic to build (our
-# glyph templates are module constants); heavy state (a real OCR model)
-# should flip use_actors=True in build_pipeline instead.
+# Per-worker-process stage cache: Ray reuses worker processes across
+# map_batches tasks, so module-level state IS "load once per worker" — the
+# amortization an actor pool gives, without paying actor startup. The
+# span stage's state is cheap and deterministic (glyph templates are module
+# constants); heavy model state belongs in the scorer's actor pool
+# (run_scored_extraction).
 _PROCESSOR_CACHE: Dict[tuple, "SpanProcessor"] = {}
 
 
 def span_task(batch: pa.Table, **processor_kwargs) -> pa.Table:
-    """The task-pool span stage: this worker process's cached SpanProcessor
-    (built from ``processor_kwargs``) over one batch. The benchmark finds
-    the span stage's operator by this name."""
+    """The span stage: this worker process's cached SpanProcessor (built
+    from ``processor_kwargs``) over one batch. The benchmark finds the span
+    stage's operator by this name."""
     from ..ocr_kernel import engine_key
 
     key = tuple(sorted((k, engine_key(v) if k == "engine" else repr(v))
@@ -330,74 +331,26 @@ def _field_to_struct(f: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
     }
 
 
-def assemble_bucket(group: pa.Table, keep_words: bool = False) -> pa.Table:
-    """Reassemble every document in a table of processed span rows that
-    holds all fragments of each of its documents (one doc batch):
-    Arrow-native sort by (doc_id, offset) (C++ sort, no Python row
-    dicts), numpy run-boundary segmentation, then each contiguous doc
-    segment rebuilt from column slices — one column->Python conversion per
-    call (not one dict per row)."""
-    g = group.sort_by([("doc_id", "ascending"), ("offset", "ascending")])
-    n = g.num_rows
-    schema = RESULT_SCHEMA_WORDS if keep_words else RESULT_SCHEMA
-    if n == 0:
-        return schema.empty_table()
-    ids = np.asarray(g["doc_id"].to_pylist(), dtype=object)
-    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    bounds = np.concatenate((starts, [n]))
-    kinds = g["kind"].to_pylist()
-    norm_texts = g["norm_text"].to_pylist()
-    line_texts = g["line_texts"].to_pylist()
-    words_col = g["words"].to_pylist()
-    errors = g["error"].to_pylist()
-    refs = g["media_ref"].to_pylist()
-    out_rows: List[Dict[str, Any]] = []
-    for si in range(len(starts)):
-        i, j = int(bounds[si]), int(bounds[si + 1])
-        out_rows.append(_assemble_doc(
-            str(ids[i]), kinds[i:j], norm_texts[i:j], line_texts[i:j],
-            words_col[i:j], errors[i:j], refs[i:j], keep_words=keep_words))
-    return pa.Table.from_pylist(out_rows, schema=schema)
-
-
-def _assemble_doc(doc_id: str, kinds: List[str], norm_texts: List[str],
-                  line_texts: List[List[str]], words_col: List[List[Dict[str, Any]]],
-                  errors: List[Optional[str]], refs: List[str],
+def _assemble_doc(doc_id: str, spans: List[_Span],
                   keep_words: bool = False) -> Dict[str, Any]:
-    """Per-doc reassembly: fragments already offset-sorted; rebuild spans_out
-    with the running `order` index, run heuristic field extraction over the
-    accumulated normalized words (receipt_processor.py:153,196 word
-    accumulation + :404-416 heuristics)."""
-    err = next((e for e in errors if e), None)
+    """One document's result row from its processed spans in offset order:
+    the first error fails the document, as the oracle's raise does;
+    otherwise spans_out with the running `order` index and heuristic field
+    extraction over the accumulated normalized words
+    (receipt_processor.py:153,196 word accumulation + :404-416
+    heuristics)."""
+    err = next((e for *_, e in spans if e), None)
     if err is not None:
         return _failed_row(doc_id, err)
 
     spans_out: List[Dict[str, Any]] = []
     all_words: List[Dict[str, Any]] = []
-    raw_words: List[Dict[str, Any]] = []
-    order = 0
-    for k in range(len(kinds)):
-        if kinds[k] in ("text", "html"):
-            spans_out.append({"kind": kinds[k], "text": norm_texts[k],
-                              "media_ref": "", "order": order})
-            order += 1
-        elif kinds[k] == "pdf":
-            for line_text in line_texts[k] or []:
-                spans_out.append({"kind": "pdf", "text": line_text,
-                                  "media_ref": refs[k], "order": order})
-                order += 1
-        elif kinds[k] == "media":
-            wds = words_col[k] or []
-            if keep_words:
-                raw_words.extend(wds)
-            for wd in wds:
-                all_words.append({"text": wd["text"],
-                                  "box": [wd["x0"], wd["y0"], wd["x1"], wd["y1"]],
-                                  "confidence": wd["confidence"]})
-            for line_text in line_texts[k] or []:
-                spans_out.append({"kind": "media", "text": line_text,
-                                  "media_ref": refs[k], "order": order})
-                order += 1
+    for kind, ref, texts, words, _ in spans:
+        ref = ref if kind in ("pdf", "media") else ""
+        for text in texts:
+            spans_out.append({"kind": kind, "text": text, "media_ref": ref,
+                              "order": len(spans_out)})
+        all_words.extend(words)
 
     fields = F.extract_fields_heuristic(all_words) if all_words else {}
     li = []
@@ -410,7 +363,7 @@ def _assemble_doc(doc_id: str, kinds: List[str], norm_texts: List[str],
             "box": item["box"],
             "confidence": float(item["confidence"]),
         })
-    return {
+    row = {
         "doc_id": doc_id,
         "status": "done",
         "error": None,
@@ -424,8 +377,13 @@ def _assemble_doc(doc_id: str, kinds: List[str], norm_texts: List[str],
         "merchant_address": _field_to_struct(fields.get("merchant_address")),
         "line_items": li,
         "n_words": len(all_words),
-        **({"words": raw_words} if keep_words else {}),
     }
+    if keep_words:
+        row["words"] = [{"text": wd["text"], "x0": wd["box"][0],
+                         "y0": wd["box"][1], "x1": wd["box"][2],
+                         "y1": wd["box"][3], "confidence": wd["confidence"]}
+                        for wd in all_words]
+    return row
 
 
 def _failed_row(doc_id: str, err: str) -> Dict[str, Any]:
@@ -441,9 +399,7 @@ def build_pipeline(
     docs: "ray.data.Dataset",
     media_dir: str,
     cfg: Optional[PreprocessConfig] = None,
-    concurrency: Optional[int] = None,
     batch_size: int = DOCS_PER_SPAN_TASK,
-    use_actors: bool = False,
     keep_words: bool = False,
     debug_dir: Optional[str] = None,
     log_dir: Optional[str] = None,
@@ -451,40 +407,18 @@ def build_pipeline(
     html_mode: str = "blocks",
 ) -> "ray.data.Dataset":
     """Compose the lazy pipeline over an already-loaded documents Dataset:
-    by default ``read -> map_batches(span_task)`` with ``batch_size`` whole
-    documents per task and no all-to-all (module docstring).
-
-    use_actors=False (default): the span stage runs on Ray's task pool with a
-    per-worker-process cached SpanProcessor — our kernel state is module
-    constants, so tasks amortize it identically to an actor pool while
-    skipping actor startup (measured 3-5x faster end-to-end at this state
-    size). use_actors=True runs the same SpanProcessor in an autoscaling
-    actor pool (min 1, max CPUs-1, one CPU of headroom so the read never
-    starves — a full-width pool deadlocks the streaming executor into
-    timeout at small CPU counts): the right shape once the kernel holds
-    heavy state (real model weights), cf. reference lazy singletons
-    (receipt_processor.py:50-54).
-    """
-    proc_kwargs = {"media_dir": media_dir, "cfg": cfg,
+    ``read -> map_batches(span_task)`` with ``batch_size`` whole documents
+    per task and no all-to-all (module docstring). The span stage runs on
+    Ray's task pool with a per-worker-process cached SpanProcessor: its
+    kernel state is module constants, so tasks amortize it as an actor
+    pool would, without actor startup (an actor pool measured 3-5x slower
+    end-to-end at this state size)."""
+    return docs.map_batches(
+        span_task, batch_format="pyarrow", batch_size=batch_size,
+        fn_kwargs={"media_dir": media_dir, "cfg": cfg,
                    "debug_dir": debug_dir, "log_dir": log_dir,
                    "engine": engine, "html_mode": html_mode,
-                   "keep_words": keep_words}
-    if use_actors:
-        if concurrency is None:
-            try:
-                import ray as _ray
-
-                total = int(_ray.cluster_resources().get("CPU", 4))
-            except Exception:
-                total = 4
-            concurrency = (1, max(1, total - 1))
-        udf, udf_kwargs = SpanProcessor, dict(
-            fn_constructor_kwargs=proc_kwargs, concurrency=concurrency,
-            num_cpus=1)
-    else:
-        udf, udf_kwargs = span_task, dict(fn_kwargs=proc_kwargs)
-    return docs.map_batches(udf, batch_format="pyarrow", batch_size=batch_size,
-                            **udf_kwargs)
+                   "keep_words": keep_words})
 
 
 def run_extraction(
@@ -545,7 +479,7 @@ def run_scored_extraction(
     ``use_pixels=True`` is the REAL-PIXELS vision variant: instead of the
     word stream, each scorer actor re-loads the doc's page pixels from the
     media store (refs ride the cheap spans_out column; pixels move ONCE,
-    storage -> scorer actor, never through the reassembly exchange) and
+    storage -> scorer actor, never through the span stage) and
     calls ``scorer.predict_image`` per page — the production shape for
     Donut/IDEFICS2, where the model wants the page image, not OCR words.
     Requires a vision scorer (donut-hf / idefics2-hf / det-vision)."""

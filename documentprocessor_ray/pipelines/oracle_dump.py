@@ -11,7 +11,7 @@ pytest e2e gate already uses (oracle/document.py vs pipelines/extract.py),
 surfaced to the driver as a rows+schema+hash gate instead of rows-only.
 
 What the dump side deliberately does NOT use: Ray, actor pools, the
-explode/shuffle/assemble pipeline, the banded Hamming exchange, the
+Ray Data span pipeline, the banded Hamming exchange, the
 distributed BPE vocab iteration. A hash match therefore proves the
 distributed orchestration did not change the answer computed by the plain
 per-document/per-word reference loops.

@@ -29,8 +29,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          "heuristics only")
     ap.add_argument("--engine", help="OCR engine registry name (default: kernel)")
     ap.add_argument("--max-partitions", type=int)
-    ap.add_argument("--use-actors", action="store_true", default=None,
-                    help="span stage as an actor pool (heavy engine state)")
     ap.add_argument("--debug-dir", help="S7 per-page debug image sink")
     ap.add_argument("--html-mode", choices=["blocks", "dom"],
                     help="html-span extractor: flat block strip or DOM heuristics")
@@ -72,7 +70,6 @@ def main(argv=None) -> int:
         "model": args.model,
         "engine": args.engine,
         "max_partitions": args.max_partitions,
-        "use_actors": args.use_actors,
         "debug_dir": args.debug_dir,
         "html_mode": args.html_mode,
         **({"preprocess": pre_overrides} if pre_overrides else {}),
@@ -95,7 +92,7 @@ def main(argv=None) -> int:
         cfg.documents_dir, cfg.media_dir, cfg.output_dir,
         cfg=cfg.preprocess, batch_size=cfg.batch_size,
         max_partitions=cfg.max_partitions,
-        model=cfg.model, use_actors=cfg.use_actors, debug_dir=cfg.debug_dir,
+        model=cfg.model, debug_dir=cfg.debug_dir,
         engine=cfg.engine, html_mode=cfg.html_mode,
     )
     print(json.dumps(summary))

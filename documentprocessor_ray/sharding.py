@@ -1,8 +1,8 @@
 """Shuffle-width policy: one place that decides how many hash buckets an
 all-to-all exchange uses.
 
-Every wide operator in this engine (doc reassembly, hash join, dedup pair
-generation) shuffles on a coarse bucket key instead of its fine-grained
+Every wide operator in this engine (hash join, dedup pair generation)
+shuffles on a coarse bucket key instead of its fine-grained
 natural key (see functions/dedup.py for why: Ray's groupby pays a per-GROUP
 cost, so the fine key is grouped vectorized *inside* each bucket). The bucket
 count is the shuffle width and must scale with BOTH the cluster (more

@@ -105,7 +105,6 @@ def run_partitioned(
     batch_size: int = 64,
     max_partitions: Optional[int] = None,
     model: Optional[str] = None,
-    use_actors: bool = False,
     debug_dir: Optional[str] = None,
     engine=None,
     html_mode: str = "blocks",
@@ -154,8 +153,7 @@ def run_partitioned(
             shutil.rmtree(part_out)
         in_path = os.path.join(documents_dir, part)
         kwargs = dict(cfg=cfg, batch_size=batch_size, html_mode=html_mode,
-                      use_actors=use_actors, debug_dir=debug_dir,
-                      engine=engine)
+                      debug_dir=debug_dir, engine=engine)
         if model is None:
             ds = run_extraction(in_path, media_dir, **kwargs)
         else:

@@ -48,11 +48,60 @@ def default_output(ray_session, small_corpus):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"use_actors": True},
     {"batch_size": 1},
 ], ids=lambda kw: next(iter(kw)))
 def test_plan_variants_give_equal_output(default_output, small_corpus, kwargs):
     assert _canon(run_extraction(*small_corpus, **kwargs)) == default_output
+
+
+@pytest.mark.parametrize("batch_size", [None, 1], ids=["default", "one"])
+def test_each_input_row_is_its_own_document(ray_session, tmp_path,
+                                            batch_size):
+    """One result row per input row, equal to the oracle on that row,
+    whichever rows share a span batch: two rows with one doc_id in the
+    same batch stay two rows, spans tied on offset keep their input
+    order, and a document without spans comes back done and empty."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from documentprocessor_ray.corpus import DOCUMENTS_SCHEMA, MediaStore
+    from documentprocessor_ray.oracle.document import process_document
+
+    def span(kind, text, offset):
+        return {"kind": kind, "text": text, "media_ref": "", "offset": offset}
+
+    html = ("<div><p>The tied html span keeps its place after the text "
+            "span that comes before it in the input.</p></div>")
+    rows = [
+        {"doc_id": "d1", "spans": [span("text", "alpha two", 1),
+                                   span("text", "alpha one", 0)]},
+        {"doc_id": "d1", "spans": [span("text", "beta one", 0),
+                                   span("text", "beta two", 1)]},
+        {"doc_id": "d2", "spans": [span("text", "tied first", 5),
+                                   span("html", html, 5),
+                                   span("text", "<b>lead</b>", 2)]},
+        {"doc_id": "d3", "spans": []},
+    ]
+    docs_dir, media_dir = str(tmp_path / "documents"), str(tmp_path / "media")
+    os.makedirs(docs_dir)
+    os.makedirs(media_dir)
+    pq.write_table(pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA),
+                   os.path.join(docs_dir, "data.parquet"))
+    store = MediaStore(media_dir)
+
+    def canon(results):
+        return sorted(json.dumps(
+            [r["doc_id"], r["status"],
+             [(s["kind"], s["text"], s["media_ref"], s["order"])
+              for s in r["spans_out"]]]) for r in results)
+
+    want = canon(process_document(r["doc_id"], r["spans"], store.load,
+                                  load_blob=store.load_bytes) for r in rows)
+    kwargs = {"batch_size": batch_size} if batch_size else {}
+    assert canon(run_extraction(docs_dir, media_dir, **kwargs).take_all()) \
+        == want
 
 
 def test_documents_are_read_before_the_span_stage(default_output, small_corpus,

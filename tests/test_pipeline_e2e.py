@@ -28,7 +28,7 @@ def _oracle_results(docs_dir, media_dir, html_mode="blocks"):
 @pytest.fixture(scope="module")
 def pipeline_and_oracle(ray_session, small_corpus):
     docs_dir, media_dir = small_corpus
-    ds = run_extraction(docs_dir, media_dir, concurrency=2, batch_size=8)
+    ds = run_extraction(docs_dir, media_dir, batch_size=8)
     ray_rows = {r["doc_id"]: r for r in ds.take_all()}
     oracle = _oracle_results(docs_dir, media_dir)
     return ray_rows, oracle
@@ -147,7 +147,7 @@ class TestErrorChannel:
         ]
         pqw.write_table(pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA),
                         os.path.join(docs_dir, "data.parquet"))
-        ds = run_extraction(docs_dir, media_dir, concurrency=1, batch_size=4)
+        ds = run_extraction(docs_dir, media_dir, batch_size=4)
         out = {r["doc_id"]: r for r in ds.take_all()}
         assert out["doc-bad"]["status"] == "failed"
         assert "media not found: nope" in out["doc-bad"]["error"]
