@@ -207,8 +207,9 @@ def run_scaling(sf_dir: str, low: int, high: int) -> dict:
     (ray.init, first-task module import) are excluded by design."""
     import __ray_entry__ as E
 
-    # 2x the per-round corpus: enough tasks (docs/batch_size >> high_cpus)
-    # that tail imbalance doesn't read as poor scaling
+    # 2x the per-round corpus: read blocks large enough that tail
+    # imbalance between the span tasks (one per block) doesn't read as
+    # poor scaling
     n_docs = max(800, int(80000 * E._sf_of(sf_dir)))
     results = {}
     for cpus in (low, high):

@@ -4,20 +4,19 @@ Physical plan:
 
     read_parquet(documents)                      # (doc_id, spans), one block per CPU
       -> materialize()                           # the read ends before the span stage
-      -> map_batches(span_task, batch_size=B)    # B whole documents per call
+      -> map_batches(span_task, batch_size=None) # one call per read block
                                                  #   (SpanProcessor)
       -> result rows (spans_out invariant + heuristic fields)
 
 There is no all-to-all: a document never leaves its batch, and the span
 UDF walks each input row's own spans, so a row's result depends on that
-row alone, whichever rows share its batch. ``B`` counts documents
-(DOCS_PER_SPAN_TASK).
+row alone, whichever rows share its batch.
 
 run_extraction materializes the read, which is one block per CPU
 (sources/documents.read_table_auto), and gives the flagship Dataset a
 block target sized to its output (SPAN_BLOCK_BYTES says why), so every
 span task starts at once; the process-global DataContext is never set.
-A span task runs one read block in calls of ``B`` documents each.
+A span task runs its read block in one call (build_pipeline says why).
 
 Every stage is Arrow-native (batch_format="pyarrow"); per-page OCR is numpy
 inside the UDF. The `order` invariant is carried as data (an explicit
@@ -89,13 +88,6 @@ RESULT_SCHEMA = pa.schema([
 # + accumulated normalized words, for the downstream scorer stage
 RESULT_SCHEMA_WORDS = RESULT_SCHEMA.append(pa.field("words", pa.list_(WORD_STRUCT)))
 
-# Documents per span task (build_pipeline's batch_size default, which the
-# benchmark's floor pass reads to batch at the same size). A doc count,
-# never None: None makes a span task's batch a whole read block.
-# 16 beat 8 on both perfbench workloads (4-core VM); below 8, per-task and
-# driver-memory overhead grow faster than the parallelism pays.
-DOCS_PER_SPAN_TASK = 16
-
 # The flagship Dataset's target_max_block_size (run_extraction). Before an
 # operator has output, Ray Data assumes each of its running tasks holds
 # target_max_block_size x 2 of pending output
@@ -104,7 +96,9 @@ DOCS_PER_SPAN_TASK = 16
 # 128 MiB a 512 MiB object store admits one span task until it finishes.
 # A span task's output block measured 42 KiB (perfbench receipts, 25 docs)
 # to 118 KiB (web_text, 200 docs), so 1 MiB admits every span task at once
-# and larger outputs are cut into 1 MiB blocks.
+# and larger outputs are cut into 1 MiB blocks. It also bounds the read
+# blocks, each one span UDF call (Ray cuts past 1.5x the target): 20,000
+# web_text documents read as 8 blocks of 2,500 rows, 1.24 MB at most.
 SPAN_BLOCK_BYTES = 1 << 20
 
 # Documents per coarse doc-hash bucket (explode_spans' pkey), the width
@@ -399,7 +393,7 @@ def build_pipeline(
     docs: "ray.data.Dataset",
     media_dir: str,
     cfg: Optional[PreprocessConfig] = None,
-    batch_size: int = DOCS_PER_SPAN_TASK,
+    batch_size: Optional[int] = None,
     keep_words: bool = False,
     debug_dir: Optional[str] = None,
     log_dir: Optional[str] = None,
@@ -407,12 +401,15 @@ def build_pipeline(
     html_mode: str = "blocks",
 ) -> "ray.data.Dataset":
     """Compose the lazy pipeline over an already-loaded documents Dataset:
-    ``read -> map_batches(span_task)`` with ``batch_size`` whole documents
-    per task and no all-to-all (module docstring). The span stage runs on
-    Ray's task pool with a per-worker-process cached SpanProcessor: its
-    kernel state is module constants, so tasks amortize it as an actor
-    pool would, without actor startup (an actor pool measured 3-5x slower
-    end-to-end at this state size)."""
+    ``read -> map_batches(span_task)``, one SpanProcessor call per input
+    block (``batch_size=None``; an int is documents per call) and no
+    all-to-all. Smaller calls pay each ``pyarrow.compute`` kernel's fixed
+    cost per call again, and Ray hands the driver their results as one
+    many-chunk block, slower to fetch; run_extraction, the only caller,
+    bounds a block with SPAN_BLOCK_BYTES. span_task caches one
+    SpanProcessor per worker process: its kernel state is module
+    constants, so tasks amortize it as an actor pool would, without actor
+    startup (an actor pool measured 3-5x slower end-to-end here)."""
     return docs.map_batches(
         span_task, batch_format="pyarrow", batch_size=batch_size,
         fn_kwargs={"media_dir": media_dir, "cfg": cfg,

@@ -47,11 +47,36 @@ def default_output(ray_session, small_corpus):
     return _canon(run_extraction(*small_corpus))
 
 
+# batch_size 7 makes several calls per read block, the last one short
 @pytest.mark.parametrize("kwargs", [
     {"batch_size": 1},
-], ids=lambda kw: next(iter(kw)))
+    {"batch_size": 7},
+], ids=["batch_size", "batch_size7"])
 def test_plan_variants_give_equal_output(default_output, small_corpus, kwargs):
     assert _canon(run_extraction(*small_corpus, **kwargs)) == default_output
+
+
+def test_span_task_returns_one_chunk_per_block(ray_session, tmp_path):
+    """A span task runs its read block in one call, so every column of
+    every output block is one Arrow chunk. The read blocks here hold more
+    than 16 documents, so calls of 16 would leave several chunks."""
+    import ray
+
+    from documentprocessor_ray.corpus import generate_corpus
+
+    docs_dir, media_dir = generate_corpus(str(tmp_path), n_docs=128, seed=5,
+                                          html_frac=0.4, pdf_frac=0.4,
+                                          num_partitions=2)
+    ds = run_extraction(docs_dir, media_dir).materialize()
+    blocks = [ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
+              for ref, _ in bundle.blocks]
+    assert sum(b.num_rows for b in blocks) == 128
+    assert max(b.num_rows for b in blocks) > 16
+    chunked = sorted({n for b in blocks for n in b.column_names
+                      if b[n].num_chunks > 1})
+    assert not chunked, chunked
+    assert _canon(ds) == _canon(run_extraction(docs_dir, media_dir,
+                                               batch_size=16))
 
 
 @pytest.mark.parametrize("batch_size", [None, 1], ids=["default", "one"])
