@@ -248,28 +248,33 @@ class MediaStore:
                 return f.read()
         return None
 
+    def find(self, media_ref: str) -> Optional[str]:
+        """Path of the file ``load`` decodes for ``media_ref``, None when
+        the page is missing. The one list of page formats and their
+        lookup order."""
+        for ext in (".npz8", ".npy") + self._IMAGE_EXTS:
+            path = os.path.join(self.media_dir, media_ref + ext)
+            if os.path.exists(path):
+                return path
+        return None
+
     def load(self, media_ref: str) -> Optional[np.ndarray]:
-        path = os.path.join(self.media_dir, media_ref + ".npz8")
-        if os.path.exists(path):
-            with open(path, "rb") as f:
-                raw = f.read()
+        path = self.find(media_ref)
+        if path is None:
+            return None
+        if path.endswith(".npy"):
+            return np.load(path, allow_pickle=False)
+        with open(path, "rb") as f:
+            raw = f.read()
+        if path.endswith(".npz8"):
             ndim = int(np.frombuffer(raw[:4], dtype=np.int32)[0])
             shape = tuple(np.frombuffer(raw[4:4 + 4 * ndim], dtype=np.int32))
             return np.frombuffer(
                 zlib.decompress(raw[4 + 4 * ndim:]), dtype=np.uint8).reshape(shape)
-        path = os.path.join(self.media_dir, media_ref + ".npy")
-        if os.path.exists(path):
-            return np.load(path, allow_pickle=False)
-        for ext in self._IMAGE_EXTS:
-            path = os.path.join(self.media_dir, media_ref + ext)
-            if os.path.exists(path):
-                if self._codec is None:
-                    from .stages.multimodal import AutoCodec
+        if self._codec is None:
+            from .stages.multimodal import AutoCodec
 
-                    self._codec = AutoCodec()
-                with open(path, "rb") as f:
-                    payload = f.read()
-                # route by in-file signature; meta format is a hint only
-                return self._codec.decode_image(
-                    payload, {"format": ext.lstrip(".")})
-        return None
+            self._codec = AutoCodec()
+        # route by in-file signature; meta format is a hint only
+        return self._codec.decode_image(
+            raw, {"format": os.path.splitext(path)[1].lstrip(".")})

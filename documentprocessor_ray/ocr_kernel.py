@@ -26,11 +26,12 @@ lazy-singleton engine (receipt_processor.py:50-54).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from .fonts import CHAR_GAP, CHAR_H, CHAR_PITCH, CHAR_W, CHARS, TEMPLATES
+from .stages.preprocess import ink_neighbours
 
 WORD_GAP = 6  # blank columns ending a word (strictly greater than)
 INK_THRESHOLD = 128
@@ -43,55 +44,35 @@ def binarize(img: np.ndarray) -> np.ndarray:
 
 def despeckle(ink: np.ndarray) -> np.ndarray:
     """Remove ink pixels with zero ink 8-neighbors (isolated noise)."""
-    p = np.pad(ink, 1, mode="constant")
-    neighbors = (
-        p[:-2, :-2].astype(np.uint8) + p[:-2, 1:-1] + p[:-2, 2:]
-        + p[1:-1, :-2] + p[1:-1, 2:]
-        + p[2:, :-2] + p[2:, 1:-1] + p[2:, 2:]
-    )
-    return ink & (neighbors > 0)
+    return ink & ink_neighbours(np.pad(ink, 1))
 
 
-def _runs(mask: np.ndarray) -> List[tuple]:
-    """Maximal runs of True in a 1-D bool array as (start, stop) half-open."""
-    if not mask.any():
-        return []
-    m = mask.astype(np.int8)
-    diff = np.diff(np.concatenate(([0], m, [0])))
-    starts = np.flatnonzero(diff == 1)
-    stops = np.flatnonzero(diff == -1)
-    return list(zip(starts.tolist(), stops.tolist()))
+def _runs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of True along each row of a 2-D bool array, as
+    (row, start, stop) arrays (stop exclusive), ordered by row then start."""
+    edges = np.diff(mask.view(np.int8), axis=1, prepend=0, append=0)
+    rows, starts = np.nonzero(edges == 1)
+    return rows, starts, np.nonzero(edges == -1)[1]
 
 
 def detect_words(image: np.ndarray) -> List[Dict[str, Any]]:
     """Full detect+recognize on one grayscale uint8 page. Segmentation
-    walks bands/words; classification batches ALL words into one
-    page-level matmul (_classify_blocks)."""
+    runs page-wide (every band's column runs in one call); classification
+    batches ALL words into one page-level matmul (_classify_words)."""
     ink = despeckle(binarize(image))
-    boxes: List[List[int]] = []
-    blocks: List[np.ndarray] = []
-    for y0, y1 in _runs(ink.any(axis=1)):
-        band = ink[y0:y1]
-        col_has_ink = band.any(axis=0)
-        ink_runs = _runs(col_has_ink)
-        if not ink_runs:
-            continue
-        # merge char runs into words: gap <= WORD_GAP stays in the word
-        word_spans = [[ink_runs[0][0], ink_runs[0][1]]]
-        for s, e in ink_runs[1:]:
-            if s - word_spans[-1][1] <= WORD_GAP:
-                word_spans[-1][1] = e
-            else:
-                word_spans.append([s, e])
-        for x0, x1 in word_spans:
-            boxes.append([int(x0), int(y0), int(x1), int(y1)])
-            blocks.append(band[:, x0:x1])
-    words: List[Dict[str, Any]] = []
-    for box, (text, conf) in zip(boxes, _classify_blocks(blocks)):
-        if not text.strip():
-            continue
-        words.append({"text": text, "box": box, "confidence": float(conf)})
-    return words
+    _, y0, y1 = _runs(ink.any(axis=1)[None])
+    if not y0.size:
+        return []
+    band, s, e = _runs(np.stack([ink[a:b].any(axis=0) for a, b in
+                                 zip(y0.tolist(), y1.tolist())]))
+    # merge char runs into words: a gap <= WORD_GAP stays in the word
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = (band[1:] != band[:-1]) | (s[1:] - e[:-1] > WORD_GAP)
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], len(s)) - 1
+    band = band[starts]
+    return _classify_words(ink, np.stack(
+        [s[starts], y0[band], e[ends], y1[band]], axis=1))
 
 
 def _cc_components(ink: np.ndarray) -> List[tuple]:
@@ -118,19 +99,19 @@ def _cc_components(ink: np.ndarray) -> List[tuple]:
 
     all_runs: List[tuple] = []  # (y, s, e, run_id)
     prev: List[tuple] = []      # previous row's (s, e, run_id)
-    for y in range(ink.shape[0]):
-        row_runs = _runs(ink[y])
-        cur: List[tuple] = []
-        for s, e in row_runs:
-            rid = len(parent)
-            parent.append(rid)
-            # 8-connectivity: touches a prev-row run iff ps <= e and pe >= s
-            for ps, pe, pid in prev:
-                if ps <= e and pe >= s:
-                    union(rid, pid)
-            cur.append((s, e, rid))
-            all_runs.append((y, s, e, rid))
-        prev = cur
+    cur: List[tuple] = []
+    last_y = -1
+    for rid, (y, s, e) in enumerate(zip(*(a.tolist() for a in _runs(ink)))):
+        if y != last_y:
+            prev = cur if y == last_y + 1 else []
+            cur, last_y = [], y
+        parent.append(rid)
+        # 8-connectivity: touches a prev-row run iff ps <= e and pe >= s
+        for ps, pe, pid in prev:
+            if ps <= e and pe >= s:
+                union(rid, pid)
+        cur.append((s, e, rid))
+        all_runs.append((y, s, e, rid))
 
     boxes: Dict[int, List[int]] = {}
     for y, s, e, rid in all_runs:
@@ -176,8 +157,7 @@ def cc_detect_words(image: np.ndarray) -> List[Dict[str, Any]]:
         else:
             bands.append([c[0], c[1], [c]])
 
-    boxes2: List[List[int]] = []
-    blocks: List[np.ndarray] = []
+    boxes: List[List[int]] = []
     for y0, y1, cs in bands:
         xs = sorted((c[2], c[3]) for c in cs)
         spans = [[xs[0][0], xs[0][1]]]
@@ -186,15 +166,8 @@ def cc_detect_words(image: np.ndarray) -> List[Dict[str, Any]]:
                 spans[-1][1] = max(spans[-1][1], e)
             else:
                 spans.append([s, max(s, e)])
-        for x0, x1 in spans:
-            boxes2.append([int(x0), int(y0), int(x1), int(y1)])
-            blocks.append(ink[y0:y1, x0:x1])
-    words: List[Dict[str, Any]] = []
-    for box, (text, conf) in zip(boxes2, _classify_blocks(blocks)):
-        if not text.strip():
-            continue
-        words.append({"text": text, "box": box, "confidence": float(conf)})
-    return words
+        boxes.extend([x0, y0, x1, y1] for x0, x1 in spans)
+    return _classify_words(ink, np.array(boxes, dtype=np.int64))
 
 
 # Flattened template stack for the batched matmul classifier: with X a 0/1
@@ -209,45 +182,46 @@ _T_FLAT = np.ascontiguousarray(TEMPLATES.reshape(len(TEMPLATES), _NPX),
 _T_SUM = _T_FLAT.sum(axis=1)  # exact: counts <= _NPX
 
 
-def _classify_blocks(cellblocks: List[np.ndarray]) -> List[tuple]:
-    """Classify many word ink blocks in ONE page-level matmul.
+def _classify_words(ink: np.ndarray, boxes: np.ndarray) -> List[Dict[str, Any]]:
+    """Classify the word boxes ``[x0, y0, x1, y1]`` of a page's ink mask in
+    ONE page-level matmul and return the non-blank words in box order.
 
-    Returns [(text, confidence)] in input order; exactly the per-word
-    results of the original broadcast-compare implementation."""
-    if not cellblocks:
+    A word of width w holds round((w + CHAR_GAP) / CHAR_PITCH) (at least
+    one) fixed-pitch cells; cell k is the CHAR_H x CHAR_W window at column
+    x0 + k * CHAR_PITCH, cut off at the word's right edge and bottom and
+    zero-filled. Every cell of the page is gathered in one indexing call."""
+    if not len(boxes):
         return []
-    n_chars_per = []
-    for cb in cellblocks:
-        w = cb.shape[1]
-        n_chars_per.append(max(1, int(round((w + CHAR_GAP) / CHAR_PITCH))))
-    total = int(np.sum(n_chars_per))
-    cells = np.zeros((total, CHAR_H, CHAR_W), dtype=np.float32)
-    pos = 0
-    for cb, n_chars in zip(cellblocks, n_chars_per):
-        for k in range(n_chars):
-            xs = k * CHAR_PITCH
-            cell = cb[:CHAR_H, xs: xs + CHAR_W]
-            cells[pos, : cell.shape[0], : cell.shape[1]] = cell
-            pos += 1
-    flat = cells.reshape(total, _NPX)
+    x0, y0, x1, y1 = boxes.T
+    n_chars = np.maximum(
+        1, np.round((x1 - x0 + CHAR_GAP) / CHAR_PITCH).astype(np.int64))
+    word = np.repeat(np.arange(len(boxes)), n_chars)
+    first = np.cumsum(n_chars) - n_chars
+    total = len(word)
+    left = x0[word] + (np.arange(total) - first[word]) * CHAR_PITCH
+    rows = y0[word, None] + np.arange(CHAR_H)
+    cols = left[:, None] + np.arange(CHAR_W)
+    h, w = ink.shape
+    cells = ink[np.minimum(rows, h - 1)[:, :, None],
+                np.minimum(cols, w - 1)[:, None, :]]
+    cells &= (rows < y1[word, None])[:, :, None]
+    cells &= (cols < x1[word, None])[:, None, :]
+    flat = cells.reshape(total, _NPX).astype(np.float32)
     # agreement counts: exact integers in float32 (products 0/1, sums <= 140)
     eq = (_NPX - flat.sum(axis=1)[:, None] - _T_SUM[None, :]
           + 2.0 * (flat @ _T_FLAT.T))
     best = eq.argmax(axis=1)
     scores = eq[np.arange(total), best].astype(np.float64) / _NPX
-    out = []
-    pos = 0
-    for n_chars in n_chars_per:
-        b = best[pos: pos + n_chars]
-        out.append(("".join(CHARS[i] for i in b),
-                    float(scores[pos: pos + n_chars].mean())))
-        pos += n_chars
-    return out
-
-
-def _classify_word(cellblock: np.ndarray) -> tuple:
-    """Classify a word's ink block (band_h x word_w) into text + confidence."""
-    return _classify_blocks([cellblock])[0]
+    chars = [CHARS[i] for i in best.tolist()]
+    words: List[Dict[str, Any]] = []
+    for box, a, n in zip(boxes.tolist(), first.tolist(), n_chars.tolist()):
+        text = "".join(chars[a: a + n])
+        if text.strip():
+            # the mean score as np.mean sums and divides it, minus its
+            # per-call overhead
+            conf = float(np.add.reduce(scores[a: a + n])) / n
+            words.append({"text": text, "box": box, "confidence": conf})
+    return words
 
 
 class OcrKernel:

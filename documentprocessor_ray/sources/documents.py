@@ -96,9 +96,7 @@ def validate_media_refs(ds: "ray.data.Dataset", media_dir: str) -> "ray.data.Dat
         missing: List[List[str]] = []
         for spans in batch["spans"].to_pylist():
             refs = [s["media_ref"] for s in (spans or []) if s["kind"] == "media"]
-            miss = [r for r in refs
-                    if not (os.path.exists(os.path.join(store.media_dir, r + ".npz8"))
-                            or os.path.exists(os.path.join(store.media_dir, r + ".npy")))]
+            miss = [r for r in refs if store.find(r) is None]
             n_refs.append(len(refs))
             n_missing.append(len(miss))
             missing.append(miss)

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _LOG = logging.getLogger(__name__)
 
@@ -71,8 +73,23 @@ def _compose(steps: Sequence[PointStep], lo: int, hi: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _pair_table(lut: bytes) -> np.ndarray:
+    """``lut`` over pixel pairs: two pixels p, q read as one little-endian
+    uint16 (p + 256 q) index the entry lut[p] + 256 lut[q]."""
+    l16 = np.frombuffer(lut, np.uint8).astype("<u2")
+    table = (l16 | l16[:, None] << 8).astype("<u2").reshape(-1)
+    table.flags.writeable = False  # shared by every caller of the cache
+    return table
+
+
 def _apply(img: np.ndarray, *steps: PointStep) -> np.ndarray:
-    return np.take(_compose(steps, int(img.min()), int(img.max())), img)
+    lut = _compose(steps, int(img.min()), int(img.max()))
+    if img.dtype != np.uint8 or img.size % 2 or not img.flags.c_contiguous:
+        return np.take(lut, img)
+    # one gather per pixel pair: half the index conversions of lut[img]
+    pairs = np.take(_pair_table(lut.tobytes()), img.reshape(-1).view("<u2"))
+    return pairs.view(np.uint8).reshape(img.shape)
 
 
 def auto_level(img: np.ndarray) -> np.ndarray:
@@ -129,46 +146,71 @@ def _threshold_step(percent: float) -> PointStep:
     return lambda lo, hi: lut
 
 
+def ink_neighbours(padded: np.ndarray) -> np.ndarray:
+    """Whether any of each pixel's 8 neighbours is set, for a bool mask
+    padded by one pixel on each side (the padding mode sets the border
+    rule). Separable: left|right, then the rows above and below add
+    left|centre|right."""
+    lr = padded[:, :-2] | padded[:, 2:]
+    row3 = lr | padded[:, 1:-1]
+    near = lr[1:-1]
+    near |= row3[:-2]
+    near |= row3[2:]
+    return near
+
+
 def denoise(img: np.ndarray) -> np.ndarray:
     """M6: despeckle — isolated dark pixels on light ground are lifted to the
     max of their 8-neighborhood (a one-pixel morphological open, integer-exact).
-    Running pairwise max/min over the 8 shifted views (no (8,H,W) stack)."""
-    p = np.pad(img, 1, mode="edge")
-    views = (
-        p[:-2, :-2], p[:-2, 1:-1], p[:-2, 2:],
-        p[1:-1, :-2], p[1:-1, 2:],
-        p[2:, :-2], p[2:, 1:-1], p[2:, 2:],
-    )
-    nmax = views[0].copy()
-    nmin = views[0].copy()
-    for v in views[1:]:
-        np.maximum(nmax, v, out=nmax)
-        np.minimum(nmin, v, out=nmin)
-    isolated_dark = (img < 128) & (nmin >= 128)
+    With edge padding, a dark pixel is isolated exactly when no neighbour
+    is dark, so one bool OR of the padded ink mask finds them, and the
+    neighbourhood max is read at those pixels only: their 3x3 window's max
+    is their neighbours' (the dark centre is below every light one)."""
+    ink = img < 128
+    iso = np.flatnonzero(ink & ~ink_neighbours(np.pad(ink, 1, mode="edge")))
     out = img.copy()
-    out[isolated_dark] = nmax[isolated_dark]
+    if iso.size:
+        ys, xs = np.divmod(iso, img.shape[1])
+        win = sliding_window_view(np.pad(img, 1, mode="edge"), (3, 3))
+        out.reshape(-1)[iso] = win[ys, xs].max(axis=(1, 2))
     return out
+
+
+@lru_cache(maxsize=16)
+def _shear_offsets(w: int, max_angle: int) -> Tuple[np.ndarray, ...]:
+    """Per-column row offsets round(x * tan(a)) for a = 1 .. max_angle, one
+    array each (read-only: the cache shares them). round and tan are odd
+    functions, so angle -a shifts by the negated offsets of a."""
+    col = np.arange(w, dtype=np.float64)
+    offs = tuple(np.round(col * np.tan(np.deg2rad(ang))).astype(np.int64)
+                 for ang in range(1, max_angle + 1))
+    for o in offs:
+        o.flags.writeable = False
+    return offs
 
 
 def estimate_skew_angle(img: np.ndarray, max_angle: int = 3) -> int:
     """M1 (estimate): integer-degree angle maximizing row-profile variance
-    under horizontal shear; 0 for clean axis-aligned pages."""
-    ink = (img < 128)
-    if not ink.any():
+    under horizontal shear; 0 for clean axis-aligned pages. The ink
+    coordinates are taken once; each angle then costs one gather of the
+    ink pixels' column offsets (none at angle 0) and one bincount."""
+    ink = np.flatnonzero(img < 128)
+    if not ink.size:
         return 0
-    h, w = ink.shape
-    ys, xs = np.nonzero(ink)
-    # per-column shear offsets once per |angle| (round/tan are odd functions,
-    # so the -ang offsets are the negated +ang ones); gather per pixel
-    col = np.arange(w, dtype=np.float64)
-    off = {0: np.zeros(w, np.int64)}
-    for ang in range(1, max_angle + 1):
-        r = np.round(col * np.tan(np.deg2rad(ang))).astype(np.int64)
-        off[ang] = r
-        off[-ang] = -r
+    h, w = img.shape
+    ys, xs = np.divmod(ink, w)
+    offs = _shear_offsets(w, max_angle)
     best_angle, best_var = 0, -1.0
     for ang in range(-max_angle, max_angle + 1):
-        yy = np.clip(ys - off[ang][xs], 0, h - 1)
+        if ang == 0:
+            yy = ys
+        else:
+            yy = offs[abs(ang) - 1][xs]
+            if ang > 0:
+                np.subtract(ys, yy, out=yy)
+            else:
+                np.add(ys, yy, out=yy)
+            np.clip(yy, 0, h - 1, out=yy)
         prof = np.bincount(yy, minlength=h).astype(np.float64)
         var = prof.var()
         if var > best_var + 1e-9:
@@ -178,23 +220,19 @@ def estimate_skew_angle(img: np.ndarray, max_angle: int = 3) -> int:
 
 def deskew(img: np.ndarray, max_angle: int = 3) -> np.ndarray:
     """M1: undo the estimated shear by integer row-shifts (nearest-neighbor,
-    deterministic); white background fill."""
+    deterministic); white background fill. Column x reads row y + s_x of
+    the page padded with white rows, one gather for the whole page (a shift
+    past the page height reads only padding, so the padding stops there)."""
     ang = estimate_skew_angle(img, max_angle)
     if ang == 0:
         return img
     h, w = img.shape[:2]
     shear = np.tan(np.deg2rad(ang))
-    out = np.full_like(img, 255)
     shifts = np.round(np.arange(w) * shear).astype(np.int64)
-    for x in range(w):
-        s = shifts[x]
-        if s == 0:
-            out[:, x] = img[:, x]
-        elif s > 0:
-            out[: h - s, x] = img[s:, x]
-        else:
-            out[-s:, x] = img[: h + s, x]
-    return out
+    pad = min(int(np.abs(shifts).max()), h)
+    padded = np.pad(img, ((pad, pad), (0, 0)), constant_values=255)
+    src = (np.clip(shifts, -pad, pad) + pad) * w + np.arange(w)
+    return np.take(padded, (np.arange(h) * w)[:, None] + src)
 
 
 def resample(img: np.ndarray, scale_num: int, scale_den: int) -> np.ndarray:

@@ -7,13 +7,15 @@ flagship's own Dataset (``run_extraction``, or ``run_scored_extraction``
 when a model is set) as its own streaming job and commits
 
     output_dir/part={i}/*.parquet          (the result rows)
-    output_dir/_manifest/part-{i}.json     (lineage + counters, atomic rename)
+    output_dir/_manifest/part-{i}.json     (lineage, counters and each
+                                            file's rows; atomic rename)
 
 A resumed run lists manifests first and SKIPS every partition whose manifest
-exists with a matching config hash — completed work is never recomputed, and
-a partition is only considered complete after its manifest rename (writes
-happen before the manifest, so a crash mid-partition re-runs just that
-partition; the torn output is deleted before the retry).
+exists with a matching config hash and whose listed files all exist —
+completed work is never recomputed, and a partition is only considered
+complete after its manifest rename (writes happen before the manifest, so a
+crash mid-partition re-runs just that partition; the torn output is deleted
+before the retry).
 
 The manifest replaces the reference's in-memory C# job dict
 (Api/ServiceSideDocumentProcessor.cs:20,659-778) — progress/counters live in
@@ -30,6 +32,7 @@ import hashlib
 import json
 import os
 import time
+import uuid
 from typing import Any, Dict, List, Optional
 
 import pyarrow as pa
@@ -62,6 +65,9 @@ def list_partitions(documents_dir: str) -> List[str]:
 
 
 def completed_partitions(output_dir: str, config_hash: str) -> List[str]:
+    """Partitions whose manifest matches ``config_hash`` and whose listed
+    files all exist. A manifest without a ``files`` entry (written before
+    manifests listed their files) counts as incomplete."""
     mdir = os.path.join(output_dir, "_manifest")
     if not os.path.isdir(mdir):
         return []
@@ -74,27 +80,42 @@ def completed_partitions(output_dir: str, config_hash: str) -> List[str]:
                 m = json.load(fh)
         except (OSError, json.JSONDecodeError):
             continue  # torn manifest = incomplete partition
-        if m.get("config_hash") == config_hash:
+        part_out = os.path.join(output_dir, m.get("partition", ""))
+        if m.get("config_hash") == config_hash and "files" in m and all(
+                os.path.exists(os.path.join(part_out, name))
+                for name in m["files"]):
             done.append(m["partition"])
     return done
 
 
 def _write_block(block: pa.Table, part_out: str) -> pa.Table:
     """Write one result block as one parquet file in ``part_out`` and return
-    its counters as a one-row table. The file is named by a digest of the
-    block's smallest doc_id, so a retried task overwrites its own earlier
-    attempt instead of adding a second copy of its rows."""
+    a one-row table of the file's name and its counters. Every attempt
+    writes a file of its own name; the commit keeps only the files whose
+    counters ``run_partitioned`` received (``_drop_unlisted``), so a
+    retried task leaves one copy of its rows and two blocks never share a
+    file."""
+    name = ""
     if block.num_rows:
-        first = str(pc.min(block["doc_id"]).as_py())
-        name = hashlib.md5(first.encode()).hexdigest() + ".parquet"
+        name = uuid.uuid4().hex + ".parquet"
         pq.write_table(block, os.path.join(part_out, name))
     return pa.table({
+        "file": [name],
         "docs_in": [block.num_rows],
         "docs_ok": [pc.sum(pc.equal(block["status"], "done")).as_py() or 0],
         "words": [pc.sum(block["n_words"]).as_py() or 0],
         "spans_out": [
             pc.sum(pc.list_value_length(block["spans_out"])).as_py() or 0],
     })
+
+
+def _drop_unlisted(part_out: str, files: Dict[str, int]) -> None:
+    """Delete every file in ``part_out`` that ``files`` does not name: the
+    output of task attempts whose counters ``run_partitioned`` never
+    received."""
+    for name in os.listdir(part_out):
+        if name not in files:
+            os.remove(os.path.join(part_out, name))
 
 
 def run_partitioned(
@@ -168,6 +189,8 @@ def run_partitioned(
         counters = {k: sum(int(r[k]) for r in rows)
                     for k in ("docs_in", "docs_ok", "words", "spans_out")}
         counters["docs_failed"] = counters["docs_in"] - counters["docs_ok"]
+        files = {r["file"]: int(r["docs_in"]) for r in rows if r["file"]}
+        _drop_unlisted(part_out, files)
 
         manifest = {
             "partition": part,
@@ -178,6 +201,7 @@ def run_partitioned(
                 "media_dir": media_dir,
             },
             "counters": counters,
+            "files": files,
             "wall_ms": int((time.time() - t0) * 1000),
             "committed_at": time.time(),
         }

@@ -13,7 +13,7 @@ import pytest
 
 from documentprocessor_ray.state.checkpoint import (
     completed_partitions, list_partitions, run_partitioned, _config_hash,
-    _write_block,
+    _drop_unlisted, _write_block,
 )
 
 
@@ -150,10 +150,14 @@ class TestCheckpointResume:
         assert sorted(seen) == sorted(want)
 
 
+_COUNTERS = ["docs_in", "docs_ok", "words", "spans_out"]
+
+
 class TestWriteBlock:
     def test_rewritten_block_leaves_one_file(self, tmp_path):
-        """A retried task writes the same block again: it must overwrite
-        its earlier file, not add a second copy of the rows."""
+        """A retried task writes the same block again: the commit keeps
+        only the attempt whose counters came back, so one copy of
+        the rows remains."""
         block = pa.table({
             "doc_id": ["d2", "d1", "d3"],
             "status": ["done", "failed", "done"],
@@ -162,10 +166,14 @@ class TestWriteBlock:
         })
         first = _write_block(block, str(tmp_path))
         again = _write_block(block, str(tmp_path))
-        assert len(os.listdir(tmp_path)) == 1
+        assert len(os.listdir(tmp_path)) == 2
+        kept = again["file"][0].as_py()
+        _drop_unlisted(str(tmp_path), {kept: 3})
+        assert os.listdir(tmp_path) == [kept]
         assert pads.dataset(str(tmp_path)).to_table().equals(block)
-        assert first.equals(again)
-        assert first.to_pylist() == [
+        assert first["file"] != again["file"]
+        assert first.select(_COUNTERS).equals(again.select(_COUNTERS))
+        assert first.select(_COUNTERS).to_pylist() == [
             {"docs_in": 3, "docs_ok": 2, "words": 7, "spans_out": 3}]
 
     def test_empty_block_writes_nothing(self, tmp_path):
@@ -174,8 +182,59 @@ class TestWriteBlock:
                           "n_words": pa.array([], pa.int32()),
                           "spans_out": pa.array([], pa.list_(pa.int64()))})
         assert _write_block(block, str(tmp_path)).to_pylist() == [
-            {"docs_in": 0, "docs_ok": 0, "words": 0, "spans_out": 0}]
+            {"file": "", "docs_in": 0, "docs_ok": 0, "words": 0,
+             "spans_out": 0}]
         assert os.listdir(tmp_path) == []
+
+
+class TestFilePerBlock:
+    @pytest.fixture
+    def shared_first_doc(self, tmp_path):
+        """One partition of 4 files x 100 text rows; every file starts
+        with the same doc_id, the smallest of the partition."""
+        import pyarrow.parquet as pq
+
+        from documentprocessor_ray.corpus import DOCUMENTS_SCHEMA
+
+        part = tmp_path / "documents" / "part=0"
+        part.mkdir(parents=True)
+        (tmp_path / "media").mkdir()
+        span = [{"kind": "text", "text": "total 12.40", "media_ref": "",
+                 "offset": 0}]
+        for f in range(4):
+            rows = [{"doc_id": "a-shared", "spans": span}] + [
+                {"doc_id": f"doc-{f}-{i:03d}", "spans": span}
+                for i in range(99)]
+            pq.write_table(pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA),
+                           str(part / f"f{f}.parquet"))
+        return str(tmp_path / "documents"), str(tmp_path / "media")
+
+    def test_blocks_sharing_a_first_doc_id_keep_every_row(
+            self, ray_session, shared_first_doc, tmp_path):
+        docs_dir, media_dir = shared_first_doc
+        out = str(tmp_path / "out")
+        run_partitioned(docs_dir, media_dir, out)
+        with open(os.path.join(out, "_manifest", "part=0.json")) as f:
+            m = json.load(f)
+        part_out = os.path.join(out, "part=0")
+        got = pads.dataset(part_out).to_table()
+        assert got.num_rows == m["counters"]["docs_in"] == 400
+        assert sorted(m["files"]) == sorted(os.listdir(part_out))
+        assert sum(m["files"].values()) == 400
+        assert got["doc_id"].to_pylist().count("a-shared") == 4
+
+    def test_missing_file_makes_partition_incomplete(
+            self, ray_session, shared_first_doc, tmp_path):
+        docs_dir, media_dir = shared_first_doc
+        out = str(tmp_path / "out")
+        chash = run_partitioned(docs_dir, media_dir, out)["config_hash"]
+        assert completed_partitions(out, chash) == ["part=0"]
+        part_out = os.path.join(out, "part=0")
+        os.remove(os.path.join(part_out, sorted(os.listdir(part_out))[0]))
+        assert completed_partitions(out, chash) == []
+        assert run_partitioned(docs_dir, media_dir, out)["partitions"] == {
+            "part=0": "done"}
+        assert pads.dataset(part_out).to_table().num_rows == 400
 
 
 class TestTornPartitionOutput:

@@ -1,8 +1,12 @@
 """OCR kernel + renderer + preprocessing kernel tests."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
+from documentprocessor_ray import ocr_kernel as K
 from documentprocessor_ray.fonts import CHARSET, FONT, TEMPLATES
 from documentprocessor_ray.ocr_kernel import OcrKernel, detect_words
 from documentprocessor_ray.render import expected_words, render_page
@@ -492,3 +496,297 @@ class TestConnectedComponentKernel:
         img[9:16, 10:12] = 0    # stem (y-gap from dot)
         img[2:18, 20:23] = 0    # tall block spanning both -> one band
         self._eq(img)
+
+
+# --- byte-equality twins -------------------------------------------------
+#
+# The oracle calls the same preprocess and OCR kernels as the engine, so an
+# oracle check cannot see a kernel whose output drifts. These are verbatim
+# copies of the kernels before their vectorized rewrite (the `old_` prefix
+# and the calls between them are the only edits); every rewritten kernel
+# must give byte-equal output on every image below.
+
+def old_despeckle(ink):
+    p = np.pad(ink, 1, mode="constant")
+    neighbors = (
+        p[:-2, :-2].astype(np.uint8) + p[:-2, 1:-1] + p[:-2, 2:]
+        + p[1:-1, :-2] + p[1:-1, 2:]
+        + p[2:, :-2] + p[2:, 1:-1] + p[2:, 2:]
+    )
+    return ink & (neighbors > 0)
+
+
+def old_runs(mask):
+    if not mask.any():
+        return []
+    m = mask.astype(np.int8)
+    diff = np.diff(np.concatenate(([0], m, [0])))
+    starts = np.flatnonzero(diff == 1)
+    stops = np.flatnonzero(diff == -1)
+    return list(zip(starts.tolist(), stops.tolist()))
+
+
+def old_detect_words(image):
+    ink = old_despeckle(image < 128)
+    boxes = []
+    blocks = []
+    for y0, y1 in old_runs(ink.any(axis=1)):
+        band = ink[y0:y1]
+        col_has_ink = band.any(axis=0)
+        ink_runs = old_runs(col_has_ink)
+        if not ink_runs:
+            continue
+        word_spans = [[ink_runs[0][0], ink_runs[0][1]]]
+        for s, e in ink_runs[1:]:
+            if s - word_spans[-1][1] <= K.WORD_GAP:
+                word_spans[-1][1] = e
+            else:
+                word_spans.append([s, e])
+        for x0, x1 in word_spans:
+            boxes.append([int(x0), int(y0), int(x1), int(y1)])
+            blocks.append(band[:, x0:x1])
+    words = []
+    for box, (text, conf) in zip(boxes, old_classify_blocks(blocks)):
+        if not text.strip():
+            continue
+        words.append({"text": text, "box": box, "confidence": float(conf)})
+    return words
+
+
+def old_classify_blocks(cellblocks):
+    from documentprocessor_ray.fonts import (CHAR_GAP, CHAR_H, CHAR_PITCH,
+                                             CHAR_W, CHARS)
+
+    _NPX, _T_FLAT, _T_SUM = K._NPX, K._T_FLAT, K._T_SUM
+    if not cellblocks:
+        return []
+    n_chars_per = []
+    for cb in cellblocks:
+        w = cb.shape[1]
+        n_chars_per.append(max(1, int(round((w + CHAR_GAP) / CHAR_PITCH))))
+    total = int(np.sum(n_chars_per))
+    cells = np.zeros((total, CHAR_H, CHAR_W), dtype=np.float32)
+    pos = 0
+    for cb, n_chars in zip(cellblocks, n_chars_per):
+        for k in range(n_chars):
+            xs = k * CHAR_PITCH
+            cell = cb[:CHAR_H, xs: xs + CHAR_W]
+            cells[pos, : cell.shape[0], : cell.shape[1]] = cell
+            pos += 1
+    flat = cells.reshape(total, _NPX)
+    eq = (_NPX - flat.sum(axis=1)[:, None] - _T_SUM[None, :]
+          + 2.0 * (flat @ _T_FLAT.T))
+    best = eq.argmax(axis=1)
+    scores = eq[np.arange(total), best].astype(np.float64) / _NPX
+    out = []
+    pos = 0
+    for n_chars in n_chars_per:
+        b = best[pos: pos + n_chars]
+        out.append(("".join(CHARS[i] for i in b),
+                    float(scores[pos: pos + n_chars].mean())))
+        pos += n_chars
+    return out
+
+
+def old_denoise(img):
+    p = np.pad(img, 1, mode="edge")
+    views = (
+        p[:-2, :-2], p[:-2, 1:-1], p[:-2, 2:],
+        p[1:-1, :-2], p[1:-1, 2:],
+        p[2:, :-2], p[2:, 1:-1], p[2:, 2:],
+    )
+    nmax = views[0].copy()
+    nmin = views[0].copy()
+    for v in views[1:]:
+        np.maximum(nmax, v, out=nmax)
+        np.minimum(nmin, v, out=nmin)
+    isolated_dark = (img < 128) & (nmin >= 128)
+    out = img.copy()
+    out[isolated_dark] = nmax[isolated_dark]
+    return out
+
+
+def old_estimate_skew_angle(img, max_angle=3):
+    ink = (img < 128)
+    if not ink.any():
+        return 0
+    h, w = ink.shape
+    ys, xs = np.nonzero(ink)
+    col = np.arange(w, dtype=np.float64)
+    off = {0: np.zeros(w, np.int64)}
+    for ang in range(1, max_angle + 1):
+        r = np.round(col * np.tan(np.deg2rad(ang))).astype(np.int64)
+        off[ang] = r
+        off[-ang] = -r
+    best_angle, best_var = 0, -1.0
+    for ang in range(-max_angle, max_angle + 1):
+        yy = np.clip(ys - off[ang][xs], 0, h - 1)
+        prof = np.bincount(yy, minlength=h).astype(np.float64)
+        var = prof.var()
+        if var > best_var + 1e-9:
+            best_var, best_angle = var, ang
+    return best_angle
+
+
+def old_deskew(img, max_angle=3):
+    ang = old_estimate_skew_angle(img, max_angle)
+    if ang == 0:
+        return img
+    h, w = img.shape[:2]
+    shear = np.tan(np.deg2rad(ang))
+    out = np.full_like(img, 255)
+    shifts = np.round(np.arange(w) * shear).astype(np.int64)
+    for x in range(w):
+        s = shifts[x]
+        if s == 0:
+            out[:, x] = img[:, x]
+        elif s > 0:
+            out[: h - s, x] = img[s:, x]
+        else:
+            out[-s:, x] = img[: h + s, x]
+    return out
+
+
+def old_apply(img, *steps):
+    return np.take(P._compose(steps, int(img.min()), int(img.max())), img)
+
+
+def old_preprocess(img):
+    """The default chain with the old deskew, LUT gather and denoise."""
+    steps = [s for _, s in P._point_steps(P.PreprocessConfig())]
+    return old_denoise(old_apply(old_deskew(img), *steps))
+
+
+def _shear(img, deg):
+    """Shift column x down by round(x * tan(deg)), white fill."""
+    h, w = img.shape
+    src = np.arange(h)[:, None] - np.round(
+        np.arange(w) * np.tan(np.deg2rad(deg))).astype(np.int64)
+    out = img[np.clip(src, 0, h - 1), np.arange(w)]
+    out[(src < 0) | (src >= h)] = 255
+    return out
+
+
+def _load_media(media_dir):
+    from documentprocessor_ray.corpus import MediaStore
+
+    store = MediaStore(media_dir)
+    return [store.load(f[:-5]) for f in sorted(os.listdir(media_dir))
+            if f.endswith(".npz8")]
+
+
+@pytest.fixture(scope="module")
+def twin_images(tmp_path_factory):
+    """Image sets by name; every image is a 2-D uint8 page."""
+    from documentprocessor_ray.corpus import generate_corpus
+
+    root = tmp_path_factory.mktemp("twins")
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import corpora
+    finally:
+        sys.path.remove(bench)
+    corpora.generate("receipts", 300, str(root / "receipts"))
+    receipts = _load_media(str(root / "receipts" / "media"))
+    _, media = generate_corpus(str(root / "gen"), n_docs=24, seed=7,
+                               heavy_frac=0.1, num_partitions=2)
+    generated = _load_media(media)
+    rng = np.random.default_rng(16)
+    noise = [rng.integers(0, 256, (int(h), int(w)), dtype=np.uint8)
+             for h, w in rng.integers(20, 90, (20, 2))]
+    noise += [np.where(rng.random((60, 80)) < d, 0, 255).astype(np.uint8)
+              for d in (0.005, 0.02, 0.1, 0.3, 0.5, 0.8, 0.97)]
+    degenerate = [
+        np.full((40, 30), 255, np.uint8),          # no ink
+        np.zeros((40, 30), np.uint8),              # all ink
+        np.zeros((1, 1), np.uint8), np.full((1, 1), 255, np.uint8),
+        np.zeros((1, 57), np.uint8), np.full((1, 57), 255, np.uint8),
+        rng.integers(0, 256, (1, 400), dtype=np.uint8),
+        rng.integers(0, 256, (57, 1), dtype=np.uint8),
+        rng.integers(0, 256, (31, 17), dtype=np.uint8),  # odd widths
+        np.where(rng.random((45, 33)) < 0.05, 0, 255).astype(np.uint8),
+    ]
+    return {
+        "receipts": receipts,
+        "generate_corpus": generated,
+        "sheared": [_shear(p, d) for p in receipts[:4] + generated[:2]
+                    for d in (-3, -2, -1, 1, 2, 3)],
+        "noise": noise,
+        "degenerate": degenerate,
+    }
+
+
+TWIN_SETS = ["receipts", "generate_corpus", "sheared", "noise", "degenerate"]
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestKernelTwins:
+    @pytest.mark.parametrize("name", TWIN_SETS)
+    def test_estimate_skew_angle(self, twin_images, name):
+        got = [P.estimate_skew_angle(im) for im in twin_images[name]]
+        assert got == [old_estimate_skew_angle(im)
+                       for im in twin_images[name]]
+
+    @pytest.mark.parametrize("name", TWIN_SETS)
+    def test_deskew(self, twin_images, name):
+        for im in twin_images[name]:
+            assert _same(P.deskew(im), old_deskew(im))
+
+    @pytest.mark.parametrize("name", TWIN_SETS)
+    def test_denoise(self, twin_images, name):
+        for im in twin_images[name]:
+            assert _same(P.denoise(im), old_denoise(im))
+
+    @pytest.mark.parametrize("name", TWIN_SETS)
+    def test_preprocess(self, twin_images, name):
+        for im in twin_images[name]:
+            assert _same(P.preprocess(im), old_preprocess(im))
+
+    @pytest.mark.parametrize("name", TWIN_SETS)
+    def test_despeckle(self, twin_images, name):
+        for im in twin_images[name]:
+            assert _same(K.despeckle(im < 128), old_despeckle(im < 128))
+
+    @pytest.mark.parametrize("name", TWIN_SETS)
+    def test_detect_words(self, twin_images, name):
+        for im in twin_images[name]:
+            assert detect_words(im) == old_detect_words(im)
+            pre = P.preprocess(im)
+            assert detect_words(pre) == old_detect_words(pre)
+
+    def test_lut_gather_of_a_wider_dtype(self):
+        """The pair-table gather reads uint8 pixel pairs; other dtypes keep
+        the per-pixel gather."""
+        img = np.random.default_rng(3).integers(0, 256, (6, 8)).astype(
+            np.uint16)
+        steps = [s for _, s in P._point_steps(P.PreprocessConfig())]
+        assert _same(P._apply(img, *steps), old_apply(img, *steps))
+
+    def test_sheared_pages_estimate_their_shear(self, twin_images):
+        """The sheared set exercises every non-zero angle."""
+        angles = {P.estimate_skew_angle(im) for im in twin_images["sheared"]}
+        assert angles == {-3, -2, -1, 1, 2, 3}
+
+    def test_deskew_of_a_page_shorter_than_its_shear(self):
+        """Column x of the output reads row y + s_x of the input, white
+        where that row is off the page; the old column loop raised a
+        broadcast ValueError once a shift passed the page height."""
+        shift = np.round(np.arange(200) * np.tan(np.deg2rad(3))).astype(int)
+        img = np.full((3, 200), 255, np.uint8)
+        img[shift[shift < 3], np.flatnonzero(shift < 3)] = 0  # a 3° stroke
+        ang = P.estimate_skew_angle(img)
+        assert ang == 3
+        with pytest.raises(ValueError):
+            old_deskew(img)
+        s = np.round(np.arange(200) * np.tan(np.deg2rad(ang))).astype(int)
+        want = np.full_like(img, 255)
+        for x in range(200):
+            for y in range(3):
+                if 0 <= y + s[x] < 3:
+                    want[y, x] = img[y + s[x], x]
+        assert _same(P.deskew(img), want)

@@ -27,6 +27,33 @@ class TestSources:
         df = ds.to_pandas()
         assert (df["n_missing_refs"] == df["n_media_refs"]).all()
 
+    def test_png_page_counts_as_present(self, ray_session, tmp_path):
+        """A ref backed by a PNG file (a page MediaStore.load decodes) is
+        present, and a ref with no file in any page format is missing."""
+        import numpy as np
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from documentprocessor_ray.corpus import DOCUMENTS_SCHEMA, MediaStore
+        from documentprocessor_ray.stages.multimodal import encode_png
+
+        media = tmp_path / "media"
+        media.mkdir()
+        page = np.full((8, 8, 3), 255, np.uint8)
+        (media / "page-a.png").write_bytes(encode_png(page))
+        assert MediaStore(str(media)).load("page-a").shape[:2] == (8, 8)
+        spans = [{"kind": "media", "text": "", "media_ref": ref, "offset": i}
+                 for i, ref in enumerate(["page-a", "page-b"])]
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        pq.write_table(pa.Table.from_pylist([{"doc_id": "d", "spans": spans}],
+                                            schema=DOCUMENTS_SCHEMA),
+                       str(docs / "data.parquet"))
+        row = validate_media_refs(read_table_auto(str(docs)),
+                                  str(media)).take_all()[0]
+        assert (row["n_media_refs"], row["n_missing_refs"]) == (2, 1)
+        assert list(row["missing_refs"]) == ["page-b"]
+
 
 class TestCorruptedMedia:
     def test_corrupt_payload_stays_in_band(self, ray_session, tmp_path):
