@@ -269,8 +269,10 @@ class MediaStore:
         if path.endswith(".npz8"):
             ndim = int(np.frombuffer(raw[:4], dtype=np.int32)[0])
             shape = tuple(np.frombuffer(raw[4:4 + 4 * ndim], dtype=np.int32))
-            return np.frombuffer(
-                zlib.decompress(raw[4 + 4 * ndim:]), dtype=np.uint8).reshape(shape)
+            # sized to the page, the output buffer is never grown and copied
+            data = zlib.decompress(memoryview(raw)[4 + 4 * ndim:],
+                                   bufsize=max(1, int(np.prod(shape))))
+            return np.frombuffer(data, dtype=np.uint8).reshape(shape)
         if self._codec is None:
             from .stages.multimodal import AutoCodec
 

@@ -44,7 +44,7 @@ def binarize(img: np.ndarray) -> np.ndarray:
 
 def despeckle(ink: np.ndarray) -> np.ndarray:
     """Remove ink pixels with zero ink 8-neighbors (isolated noise)."""
-    return ink & ink_neighbours(np.pad(ink, 1))
+    return ink & ink_neighbours(ink)
 
 
 def _runs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -56,10 +56,16 @@ def _runs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def detect_words(image: np.ndarray) -> List[Dict[str, Any]]:
-    """Full detect+recognize on one grayscale uint8 page. Segmentation
-    runs page-wide (every band's column runs in one call); classification
-    batches ALL words into one page-level matmul (_classify_words)."""
-    ink = despeckle(binarize(image))
+    """Full detect+recognize on one grayscale uint8 page."""
+    return detect_ink_words(binarize(image))
+
+
+def detect_ink_words(ink: np.ndarray) -> List[Dict[str, Any]]:
+    """detect_words on a page's ink mask (``binarize(page)``): the page is
+    read through that mask alone. Segmentation runs page-wide (every band's
+    column runs in one call); classification batches ALL words into one
+    page-level matmul (_classify_words)."""
+    ink = despeckle(ink)
     _, y0, y1 = _runs(ink.any(axis=1)[None])
     if not y0.size:
         return []
@@ -142,7 +148,12 @@ def cc_detect_words(image: np.ndarray) -> List[Dict[str, Any]]:
       ``ink[band_y0:band_y1, x0:x1]``.
     The equality is pytest-gated on corpus pages AND random noise images.
     """
-    ink = despeckle(binarize(image))
+    return cc_detect_ink_words(binarize(image))
+
+
+def cc_detect_ink_words(ink: np.ndarray) -> List[Dict[str, Any]]:
+    """cc_detect_words on a page's ink mask (``binarize(page)``)."""
+    ink = despeckle(ink)
     comps = _cc_components(ink)
     if not comps:
         return []
@@ -238,7 +249,12 @@ class OcrKernel:
     def detect_and_recognize(self, image: np.ndarray) -> List[Dict[str, Any]]:
         if image.ndim == 3:  # RGB -> gray via exact mean (deterministic ints)
             image = (image.astype(np.uint16).sum(axis=2) // image.shape[2]).astype(np.uint8)
-        return detect_words(image)
+        return self.detect_ink(binarize(image))
+
+    def detect_ink(self, ink: np.ndarray) -> List[Dict[str, Any]]:
+        """detect_and_recognize of a 2-D page given its ink mask
+        (``binarize(page)``), which is all the kernel reads of a page."""
+        return detect_ink_words(ink)
 
 
 # --- engine registry (A1-A3 factory/fallback; reference ocr_engine.py:200-233) ---
@@ -261,11 +277,8 @@ class OcrKernelCC(OcrKernel):
     by the equivalence argument on cc_detect_words, so every span-equality
     gate holds under engine="kernel_cc" too."""
 
-    def detect_and_recognize(self, image: np.ndarray) -> List[Dict[str, Any]]:
-        if image.ndim == 3:
-            image = (image.astype(np.uint16).sum(axis=2)
-                     // image.shape[2]).astype(np.uint8)
-        return cc_detect_words(image)
+    def detect_ink(self, ink: np.ndarray) -> List[Dict[str, Any]]:
+        return cc_detect_ink_words(ink)
 
 
 class TesseractEngine:

@@ -36,10 +36,11 @@ import ray.data
 
 from ..corpus import MediaStore
 from ..oracle import fields as F
-from ..oracle.boxes import normalize_boxes
+from ..oracle.boxes import normalize_boxes_np
 from ..oracle.document import media_span_lines
 from ..oracle.textnorm import normalize_text_arrow
-from ..stages.preprocess import PreprocessConfig, preprocess
+from ..stages.preprocess import (PreprocessConfig, preprocess,
+                                 preprocess_ink)
 
 # --- output Arrow schemas (explicit so empty blocks stay typed) ---
 
@@ -275,6 +276,13 @@ class SpanProcessor:
         image = self.store.load(ref)
         if image is None:
             raise FileNotFoundError(f"media not found: {ref}")
+        # a kernel with detect_ink reads the preprocessed page through its
+        # ink mask alone, so the page itself need not be built
+        ink = (preprocess_ink(image, self.cfg) if not self.debug_dir
+               and hasattr(self.kernel, "detect_ink") else None)
+        if ink is not None:
+            h, w = ink.shape
+            return _normalize_words(self.kernel.detect_ink(ink), w, h)
         if self.debug_dir:
             steps = [("source", image)]
             pre = preprocess(image, self.cfg,
@@ -283,12 +291,25 @@ class SpanProcessor:
             pre = preprocess(image, self.cfg)
         h, w = pre.shape[:2]  # dims the OCR saw (resample rescales)
         words = self.kernel.detect_and_recognize(pre)
-        norm = normalize_boxes(words, w, h)
+        norm = _normalize_words(words, w, h)
         if self.debug_dir:
             from ..stages.debug import save_steps
             save_steps(self.debug_dir, ref, steps, pre,
                        words_px=words, words_norm=norm)
         return norm
+
+
+def _normalize_words(words: List[Dict[str, Any]], w: int,
+                     h: int) -> List[Dict[str, Any]]:
+    """normalize_boxes(words, w, h) with one page's box arithmetic in one
+    normalize_boxes_np call: the same float64 product, quotient and
+    truncation per coordinate."""
+    if not words:
+        return []
+    x0, y0, x1, y1 = np.array([wd["box"] for wd in words], dtype=np.int64).T
+    boxes = np.stack(normalize_boxes_np(x0, y0, x1, y1, w, h), axis=1)
+    return [{"text": wd["text"], "box": box, "confidence": wd["confidence"]}
+            for wd, box in zip(words, boxes.tolist())]
 
 
 # Per-worker-process stage cache: Ray reuses worker processes across

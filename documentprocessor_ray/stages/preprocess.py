@@ -19,7 +19,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -74,21 +75,30 @@ def _compose(steps: Sequence[PointStep], lo: int, hi: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _pair_table(lut: bytes) -> np.ndarray:
-    """``lut`` over pixel pairs: two pixels p, q read as one little-endian
-    uint16 (p + 256 q) index the entry lut[p] + 256 lut[q]."""
-    l16 = np.frombuffer(lut, np.uint8).astype("<u2")
-    table = (l16 | l16[:, None] << 8).astype("<u2").reshape(-1)
-    table.flags.writeable = False  # shared by every caller of the cache
-    return table
+def _point_luts(steps: Tuple[PointStep, ...], lo: int,
+                hi: int) -> Tuple[np.ndarray, np.ndarray, Optional[int]]:
+    """For ``steps`` on an image with min ``lo`` and max ``hi``: the
+    composed LUT; the same LUT over pixel pairs (two pixels p, q read as
+    one little-endian uint16 p + 256 q index the entry lut[p] + 256
+    lut[q]); and, when the LUT is monotone (every built-in step is), the
+    count of values it maps below 128, so the mapped image's ink is the
+    source below that count. Read-only, as the cache shares them; the
+    steps of one config are the same objects on every page (_point_steps),
+    so a page costs a lookup."""
+    lut = _compose(steps, lo, hi)
+    l16 = lut.astype("<u2")
+    pairs = (l16 | l16[:, None] << 8).astype("<u2").reshape(-1)
+    lut.flags.writeable = pairs.flags.writeable = False
+    monotone = bool((lut[1:] >= lut[:-1]).all())
+    return lut, pairs, int(np.searchsorted(lut, 128)) if monotone else None
 
 
 def _apply(img: np.ndarray, *steps: PointStep) -> np.ndarray:
-    lut = _compose(steps, int(img.min()), int(img.max()))
+    lut, pair_lut, _ = _point_luts(steps, int(img.min()), int(img.max()))
     if img.dtype != np.uint8 or img.size % 2 or not img.flags.c_contiguous:
         return np.take(lut, img)
     # one gather per pixel pair: half the index conversions of lut[img]
-    pairs = np.take(_pair_table(lut.tobytes()), img.reshape(-1).view("<u2"))
+    pairs = np.take(pair_lut, img.reshape(-1).view("<u2"))
     return pairs.view(np.uint8).reshape(img.shape)
 
 
@@ -146,73 +156,89 @@ def _threshold_step(percent: float) -> PointStep:
     return lambda lo, hi: lut
 
 
-def ink_neighbours(padded: np.ndarray) -> np.ndarray:
-    """Whether any of each pixel's 8 neighbours is set, for a bool mask
-    padded by one pixel on each side (the padding mode sets the border
-    rule). Separable: left|right, then the rows above and below add
-    left|centre|right."""
-    lr = padded[:, :-2] | padded[:, 2:]
-    row3 = lr | padded[:, 1:-1]
-    near = lr[1:-1]
-    near |= row3[:-2]
-    near |= row3[2:]
+def ink_neighbours(ink: np.ndarray) -> np.ndarray:
+    """Whether any of each pixel's 8 neighbours is set in a bool mask;
+    outside the mask counts as unset. Separable: left|right, then the rows
+    above and below add left|centre|right."""
+    near = np.zeros_like(ink)
+    near[:, 1:] = ink[:, :-1]
+    near[:, :-1] |= ink[:, 1:]
+    row3 = near | ink
+    near[1:] |= row3[:-1]
+    near[:-1] |= row3[1:]
     return near
+
+
+def isolated_ink(ink: np.ndarray) -> np.ndarray:
+    """The ink pixels denoise lifts: inner ones with no ink neighbour. The
+    neighbourhood is edge-padded, so a border pixel is its own neighbour
+    and never isolated."""
+    iso = ink & ~ink_neighbours(ink)
+    iso[[0, -1]] = False
+    iso[:, [0, -1]] = False
+    return iso
 
 
 def denoise(img: np.ndarray) -> np.ndarray:
     """M6: despeckle — isolated dark pixels on light ground are lifted to the
     max of their 8-neighborhood (a one-pixel morphological open, integer-exact).
-    With edge padding, a dark pixel is isolated exactly when no neighbour
-    is dark, so one bool OR of the padded ink mask finds them, and the
-    neighbourhood max is read at those pixels only: their 3x3 window's max
-    is their neighbours' (the dark centre is below every light one)."""
-    ink = img < 128
-    iso = np.flatnonzero(ink & ~ink_neighbours(np.pad(ink, 1, mode="edge")))
+    A dark pixel is isolated exactly when no neighbour is dark, so one bool
+    OR of the ink mask finds them (isolated_ink), and the neighbourhood max
+    is read at those pixels only: their 3x3 window's max is their
+    neighbours' (the dark centre is below every light one)."""
+    iso = isolated_ink(img < 128)
     out = img.copy()
-    if iso.size:
-        ys, xs = np.divmod(iso, img.shape[1])
-        win = sliding_window_view(np.pad(img, 1, mode="edge"), (3, 3))
-        out.reshape(-1)[iso] = win[ys, xs].max(axis=(1, 2))
+    if iso.any():
+        ys, xs = np.nonzero(iso)
+        win = sliding_window_view(img, (3, 3))
+        out[ys, xs] = win[ys - 1, xs - 1].max(axis=(1, 2))
     return out
 
 
 @lru_cache(maxsize=16)
-def _shear_offsets(w: int, max_angle: int) -> Tuple[np.ndarray, ...]:
-    """Per-column row offsets round(x * tan(a)) for a = 1 .. max_angle, one
-    array each (read-only: the cache shares them). round and tan are odd
-    functions, so angle -a shifts by the negated offsets of a."""
+def _shear_bins(w: int, max_angle: int) -> Tuple[int, Tuple[np.ndarray, ...]]:
+    """``pad``, the largest row offset round(x * tan(a)) of a page ``w``
+    wide, and for a = -max_angle .. -1, 1 .. max_angle the per-column bin
+    shift pad - round(x * tan(a)): an ink pixel (y, x) sheared by a lands in
+    bin y + shift[x] of a profile padded by ``pad`` rows on each side
+    (read-only: the cache shares them). round and tan are odd functions,
+    so angle -a shifts by the negated offsets of a."""
     col = np.arange(w, dtype=np.float64)
-    offs = tuple(np.round(col * np.tan(np.deg2rad(ang))).astype(np.int64)
-                 for ang in range(1, max_angle + 1))
-    for o in offs:
-        o.flags.writeable = False
-    return offs
+    offs = [np.round(col * np.tan(np.deg2rad(ang))).astype(np.int64)
+            for ang in range(1, max_angle + 1)]
+    pad = int(offs[-1][-1]) if offs and w else 0  # offsets grow with x
+    shifts = tuple(pad + o for o in offs[::-1]) + tuple(pad - o for o in offs)
+    for s in shifts:
+        s.flags.writeable = False
+    return pad, shifts
 
 
 def estimate_skew_angle(img: np.ndarray, max_angle: int = 3) -> int:
     """M1 (estimate): integer-degree angle maximizing row-profile variance
     under horizontal shear; 0 for clean axis-aligned pages. The ink
-    coordinates are taken once; each angle then costs one gather of the
-    ink pixels' column offsets (none at angle 0) and one bincount."""
+    coordinates are taken once; each non-zero angle then costs one gather
+    of the ink pixels' bin shifts and one bincount over the padded rows,
+    whose padding folds into the first and last row as clipping the
+    sheared row would. One var call covers every angle's profile."""
     ink = np.flatnonzero(img < 128)
     if not ink.size:
         return 0
     h, w = img.shape
     ys, xs = np.divmod(ink, w)
-    offs = _shear_offsets(w, max_angle)
+    pad, shifts = _shear_bins(w, max_angle)
+    prof = np.empty((2 * max_angle + 1, h))
+    prof[max_angle] = np.bincount(ys, minlength=h)
+    rows = chain(range(max_angle), range(max_angle + 1, 2 * max_angle + 1))
+    for row, shift in zip(rows, shifts):
+        yy = shift[xs]
+        yy += ys
+        bins = np.bincount(yy, minlength=h + 2 * pad)
+        prof[row] = bins[pad:pad + h]
+        prof[row, 0] += bins[:pad].sum()
+        prof[row, -1] += bins[pad + h:].sum()
     best_angle, best_var = 0, -1.0
-    for ang in range(-max_angle, max_angle + 1):
-        if ang == 0:
-            yy = ys
-        else:
-            yy = offs[abs(ang) - 1][xs]
-            if ang > 0:
-                np.subtract(ys, yy, out=yy)
-            else:
-                np.add(ys, yy, out=yy)
-            np.clip(yy, 0, h - 1, out=yy)
-        prof = np.bincount(yy, minlength=h).astype(np.float64)
-        var = prof.var()
+    for ang, var in zip(range(-max_angle, max_angle + 1),
+                        prof.var(axis=1).tolist()):
         if var > best_var + 1e-9:
             best_var, best_angle = var, ang
     return best_angle
@@ -284,19 +310,28 @@ class PreprocessConfig:
     error_on_unsafe_dpi: bool = False
 
 
-def _point_steps(cfg: PreprocessConfig) -> List[Tuple[str, PointStep]]:
-    """The point steps ``cfg`` turns on, in order, with their tap names."""
+def _point_steps(cfg: PreprocessConfig) -> Tuple[Tuple[str, PointStep], ...]:
+    """The point steps ``cfg`` turns on, in order, with their tap names;
+    equal settings give the same step objects (_point_luts caches by them)."""
+    return _steps_of(cfg.remove_background, cfg.bg_fuzz_percent, cfg.contrast,
+                     cfg.contrast_strength, cfg.contrast_midpoint,
+                     cfg.apply_threshold, cfg.threshold_percent)
+
+
+@lru_cache(maxsize=16)
+def _steps_of(remove_bg: bool, fuzz: float, contrast: str, strength: float,
+              midpoint: float, apply_threshold: bool,
+              threshold_percent: float) -> Tuple[Tuple[str, PointStep], ...]:
     steps = []
-    if cfg.remove_background:
-        steps.append(("background_removed", _background_step(cfg.bg_fuzz_percent)))
-    if cfg.contrast == "sigmoidal":
-        steps.append(("contrast_enhanced", _sigmoidal_step(
-            cfg.contrast_strength, cfg.contrast_midpoint)))
-    elif cfg.contrast == "linear":
+    if remove_bg:
+        steps.append(("background_removed", _background_step(fuzz)))
+    if contrast == "sigmoidal":
+        steps.append(("contrast_enhanced", _sigmoidal_step(strength, midpoint)))
+    elif contrast == "linear":
         steps.append(("contrast_enhanced", _stretch_lut))
-    if cfg.apply_threshold:
-        steps.append(("threshold", _threshold_step(cfg.threshold_percent)))
-    return steps
+    if apply_threshold:
+        steps.append(("threshold", _threshold_step(threshold_percent)))
+    return tuple(steps)
 
 
 def preprocess(img: np.ndarray, cfg: PreprocessConfig = PreprocessConfig(),
@@ -327,20 +362,57 @@ def preprocess(img: np.ndarray, cfg: PreprocessConfig = PreprocessConfig(),
     if cfg.denoise:
         img = denoise(img)
         t("denoised", img)
-    if cfg.target_dpi:
-        h, w = img.shape[:2]
-        safe = find_safe_dpi(w, h, cfg.assumed_dpi, cfg.target_dpi)
-        if safe is None:
-            if cfg.error_on_unsafe_dpi:
-                raise ValueError(
-                    f"page {w}x{h}@{cfg.assumed_dpi}dpi exceeds safety caps "
-                    f"even at MIN_DPI={MIN_DPI}")
-            # reference behavior (image_preprocessor.py:330-334): warn and
-            # proceed un-resampled so the page still OCRs
-            _LOG.warning(
-                "page %dx%d@%ddpi exceeds safety caps even at MIN_DPI=%d; "
-                "skipping DPI adjustment", w, h, cfg.assumed_dpi, MIN_DPI)
-        elif safe != cfg.assumed_dpi:
-            img = resample(img, safe, cfg.assumed_dpi)
-            t("resampled", img)
+    resampled = _dpi_resample(img, cfg)
+    if resampled is not img:
+        img = resampled
+        t("resampled", img)
     return img
+
+
+def _dpi_resample(img: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
+    """M8: ``img`` resampled assumed_dpi -> find_safe_dpi(target_dpi) when
+    ``cfg.target_dpi`` is set, else ``img`` itself."""
+    if not cfg.target_dpi:
+        return img
+    h, w = img.shape[:2]
+    safe = find_safe_dpi(w, h, cfg.assumed_dpi, cfg.target_dpi)
+    if safe is None:
+        if cfg.error_on_unsafe_dpi:
+            raise ValueError(
+                f"page {w}x{h}@{cfg.assumed_dpi}dpi exceeds safety caps "
+                f"even at MIN_DPI={MIN_DPI}")
+        # reference behavior (image_preprocessor.py:330-334): warn and
+        # proceed un-resampled so the page still OCRs
+        _LOG.warning(
+            "page %dx%d@%ddpi exceeds safety caps even at MIN_DPI=%d; "
+            "skipping DPI adjustment", w, h, cfg.assumed_dpi, MIN_DPI)
+        return img
+    if safe == cfg.assumed_dpi:
+        return img
+    return resample(img, safe, cfg.assumed_dpi)
+
+
+def preprocess_ink(img: np.ndarray, cfg: PreprocessConfig = PreprocessConfig()
+                   ) -> Optional[np.ndarray]:
+    """``preprocess(img, cfg) < 128`` without building the preprocessed
+    page, for a page that preprocesses to 2-D (None for one that stays
+    RGB): the OCR kernel reads a page through that mask alone. A monotone
+    point LUT maps exactly the source pixels below one value to ink;
+    denoise takes exactly the isolated pixels out of the ink (they rise to
+    a light neighbour's value); and the nearest-neighbour resample picks
+    the same pixels from the mask as from the page."""
+    if cfg.grayscale:
+        img = to_grayscale(img)
+    if img.ndim != 2:
+        return None
+    if cfg.deskew:
+        img = deskew(img)
+    steps = tuple(step for _, step in _point_steps(cfg))
+    if steps:
+        lut, _, below = _point_luts(steps, int(img.min()), int(img.max()))
+        ink = img < below if below is not None else np.take(lut, img) < 128
+    else:
+        ink = img < 128
+    if cfg.denoise:
+        ink &= ~isolated_ink(ink)
+    return _dpi_resample(ink, cfg)

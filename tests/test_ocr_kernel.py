@@ -790,3 +790,38 @@ class TestKernelTwins:
                 if 0 <= y + s[x] < 3:
                     want[y, x] = img[y + s[x], x]
         assert _same(P.deskew(img), want)
+
+
+INK_CONFIGS = {**FUSED_CONFIGS,
+               "no_denoise": {"denoise": False},
+               "no_deskew": {"deskew": False},
+               "resampled": {"target_dpi": 150}}
+
+
+class TestInkPath:
+    """The span stage OCRs a page from preprocess_ink, the preprocessed
+    page's ink mask, without building the page. The mask must be the
+    page's exactly, and the kernels' words from it the words from the
+    page."""
+
+    @pytest.mark.parametrize("name", TWIN_SETS)
+    def test_mask_is_the_preprocessed_pages_ink(self, twin_images, name):
+        for cfg_name, kw in INK_CONFIGS.items():
+            cfg = P.PreprocessConfig(**kw)
+            for im in twin_images[name]:
+                assert _same(P.preprocess_ink(im, cfg),
+                             P.preprocess(im, cfg) < 128), cfg_name
+
+    @pytest.mark.parametrize("engine", [K.OcrKernel, K.OcrKernelCC])
+    @pytest.mark.parametrize("name", TWIN_SETS)
+    def test_words_from_the_mask(self, twin_images, name, engine):
+        kernel = engine()
+        for im in twin_images[name]:
+            assert kernel.detect_ink(P.preprocess_ink(im)) == \
+                kernel.detect_and_recognize(P.preprocess(im))
+
+    def test_a_page_left_rgb_has_no_mask(self):
+        rgb = np.full((8, 9, 3), 255, np.uint8)
+        assert P.preprocess_ink(rgb, P.PreprocessConfig(grayscale=False)) \
+            is None
+        assert P.preprocess_ink(rgb).shape == (8, 9)
