@@ -397,40 +397,43 @@ _SCORED_SFTEXT_ORACLE_SQL = r"""
     FROM tok"""
 
 
+# The flagship queries, each with its twin: a pure-SQL projection of the
+# flagship code path, or None for an oracle-DUMP twin — the query writes the
+# expected table, computed by the independent single-process oracle
+# (pipelines/oracle_dump.py), and the twin SELECTs it, so the driver still
+# gets rows+schema+hash.
+_EXTRACT_QUERIES: dict[str, tuple[Callable[[str], Any], str | None]] = {
+    "extract_receipts": (_run_extract, None),
+    "extract_scored": (_run_scored_extract, None),
+    "extract_scored_donut": (
+        lambda sf: _run_scored_extract(sf, model="donut"), None),
+    "extract_scored_idefics": (
+        lambda sf: _run_scored_extract(sf, model="idefics2"), None),
+    "extract_sftext": (_run_extract_sftext, _SFTEXT_ORACLE_SQL),
+    "extract_scored_sftext": (_run_scored_sftext, _SCORED_SFTEXT_ORACLE_SQL),
+    "extract_mixed_kinds": (_run_extract_mixed, None),
+    "extract_corrected": (_run_extract_corrected, None),
+}
+
+
+def _with_extract(registry: dict[str, Any], extract: dict[str, Any]) -> dict[str, Any]:
+    shared = sorted(set(registry) & set(extract))
+    if shared:
+        raise ValueError(f"extract queries shadow registered queries: {shared}")
+    return {**extract, **registry}
+
+
 def queries() -> dict[str, Callable[[str], Any]]:
     from documentprocessor_ray.pipelines.analysis import QUERIES
 
-    out: dict[str, Callable[[str], Any]] = {
-        "extract_receipts": _run_extract,
-        "extract_scored": _run_scored_extract,
-        "extract_scored_donut": lambda sf: _run_scored_extract(sf, model="donut"),
-        "extract_scored_idefics": lambda sf: _run_scored_extract(sf, model="idefics2"),
-        "extract_sftext": _run_extract_sftext,
-        "extract_scored_sftext": _run_scored_sftext,
-        "extract_mixed_kinds": _run_extract_mixed,
-        "extract_corrected": _run_extract_corrected,
-    }
-    out.update(QUERIES)
-    return out
+    return _with_extract(
+        QUERIES, {name: fn for name, (fn, _) in _EXTRACT_QUERIES.items()})
 
 
 def oracle_sql() -> dict[str, str]:
     from documentprocessor_ray.pipelines import oracle_dump as OD
     from documentprocessor_ray.pipelines.analysis import ORACLE_SQL
 
-    # Non-SQL-expressible operators carry oracle-DUMP twins: the queries()
-    # callable writes the expected table (computed by the independent
-    # single-process oracle — pipelines/oracle_dump.py) and the SQL twin
-    # SELECTs it, so the driver still gets rows+schema+hash.
-    # winnow_fingerprint / minhash_pairs / simhash_pairs / knn_ivf remain
-    # rows-only (banding/k-means internals; subset-property pytest gates).
-    # extract_sftext / extract_scored_sftext are pure-SQL projections of the
-    # flagship code paths.
-    out = dict(ORACLE_SQL)
-    out["extract_sftext"] = _SFTEXT_ORACLE_SQL
-    out["extract_scored_sftext"] = _SCORED_SFTEXT_ORACLE_SQL
-    for name in ("extract_receipts", "extract_mixed_kinds", "extract_scored",
-                 "extract_scored_donut", "extract_scored_idefics",
-                 "extract_corrected"):
-        out[name] = OD.sql_for(name)
-    return out
+    return _with_extract(ORACLE_SQL, {
+        name: sql or OD.sql_for(name)
+        for name, (_, sql) in _EXTRACT_QUERIES.items()})

@@ -15,6 +15,10 @@ partial aggregation with ``pyarrow.Table.group_by`` inside ``map_batches``,
 then ONE small ``groupby().aggregate(Sum)`` shuffle over the partials — the
 combiner pattern that keeps the all-to-all exchange proportional to
 distinct-key count, not row count.
+
+Registry: ``QUERIES`` is every ``q_<name>`` function of this module, under
+``<name>``. Each needs its twin ``ORACLE_SQL["<name>"]`` (exact SQL, or the
+SELECT of an oracle dump); ``check_registry`` fails the import otherwise.
 """
 
 from __future__ import annotations
@@ -488,7 +492,8 @@ def q_corpus_dolma(sf_dir: str) -> "ray.data.Dataset":
     surv = semi_join(bl, cdc_keep, left_on="doc_id", keep_on="cdc_id",
                      size_hint=n_docs, left_schema=q_schema)
 
-    kn = _lm_scored_cached(sf_dir, "kn")
+    kn = _session_memo("kn_trigram", sf_dir,
+                       lambda: q_kn_trigram(sf_dir).materialize())
 
     def const_key(b: pa.Table) -> pa.Table:
         return b.append_column(
@@ -612,31 +617,34 @@ def q_tokbin_roundtrip(sf_dir: str) -> "ray.data.Dataset":
         .map_batches(checksum, batch_format="pyarrow")
 
 
-_LM_SCORE_CACHE: Dict[Any, "ray.data.Dataset"] = {}
+def _ray_session_key() -> Any:
+    try:
+        if ray.is_initialized():
+            return ray.get_runtime_context().get_job_id()
+    except Exception:
+        pass
+    return None
 
 
-def _lm_scored_cached(sf_dir: str, which: str) -> "ray.data.Dataset":
-    """Materialized LM score Datasets (trigram stupid-backoff / KN),
-    memoized per (sf_dir, which, Ray session) — q_ppl_buckets,
-    q_corpus_fineweb and q_corpus_dolma consume the SAME scores their
-    standalone queries gate, so the expensive LM passes run once per
-    session, not once per composition (the _PAIR_CACHE discipline;
-    bench clears this cache for the builder queries so their medians
-    keep the honest build cost)."""
-    key = (os.path.abspath(sf_dir), which, _ray_session_key())
-    ds = _LM_SCORE_CACHE.get(key)
-    if ds is None:
-        builder = q_kn_trigram if which == "kn" else q_trigram_backoff
-        ds = builder(sf_dir).materialize()
-        # bound the cache (r4 ADVICE): evict entries from other Ray
-        # sessions AND other sf_dirs — only the current corpus's scores
-        # stay pinned in the object store
-        stale = [k for k in _LM_SCORE_CACHE
-                 if k[2] != key[2] or k[0] != key[0]]
-        for k in stale:
-            del _LM_SCORE_CACHE[k]
-        _LM_SCORE_CACHE[key] = ds
-    return ds
+_SESSION_MEMO: Dict[Any, Any] = {}
+
+
+def _session_memo(kind: str, sf_dir: str, build: Callable[[], Any],
+                  fresh: bool = False) -> Any:
+    """The artifact several queries share — the 3-gram pair Dataset, the
+    learned BPE / unigram / WordPiece tables, the LM score Datasets —
+    built by `build()` once per (kind, corpus, Ray session). Keyed on the
+    job id because materialized blocks die with the session. The query
+    that BUILDS an artifact passes fresh=True, so it pays the build on
+    every call while its consumers reuse the entry. Storing an entry drops
+    the kind's older entries and every other session's, so the object
+    store pins at most one corpus per kind."""
+    key = (kind, os.path.abspath(sf_dir), _ray_session_key())
+    if fresh or key not in _SESSION_MEMO:
+        for k in [k for k in _SESSION_MEMO if k[0] == kind or k[2] != key[2]]:
+            del _SESSION_MEMO[k]
+        _SESSION_MEMO[key] = build()
+    return _SESSION_MEMO[key]
 
 
 def q_trainready_shards(sf_dir: str) -> "ray.data.Dataset":
@@ -932,7 +940,8 @@ def q_ppl_buckets(sf_dir: str) -> "ray.data.Dataset":
     quantile_disc + CASE, so the whole composition is hash-gated."""
     from ..functions.agg import grouped_quantile_disc
 
-    scored = _lm_scored_cached(sf_dir, "backoff")
+    scored = _session_memo("trigram_backoff", sf_dir,
+                           lambda: q_trigram_backoff(sf_dir).materialize())
 
     def const_key(b: pa.Table) -> pa.Table:
         return b.append_column(
@@ -3072,38 +3081,20 @@ def q_jaccard_pairs(sf_dir: str) -> "ray.data.Dataset":
                            threshold_num=3, threshold_den=5)
 
 
-_PAIR_CACHE: Dict[Any, "ray.data.Dataset"] = {}
-
-
-def _ray_session_key() -> Any:
-    try:
-        if ray.is_initialized():
-            return ray.get_runtime_context().get_job_id()
-    except Exception:
-        pass
-    return None
-
-
-def _ngram_pairs_cached(sf_dir: str) -> "ray.data.Dataset":
-    """Materialized 3-gram Jaccard pair Dataset, memoized per (sf_dir, Ray
-    session): q_ngram_jaccard_pairs, q_dedup_clusters and
-    q_corpus_train_ready all consume the SAME pair set, and pair generation
-    is the suite's most expensive stage — it runs once per session, not 3x.
-    Keyed on the job id because materialized blocks die with the session."""
-    key = (os.path.abspath(sf_dir), _ray_session_key())
-    ds = _PAIR_CACHE.get(key)
-    if ds is None:
-        ds = D.jaccard_pairs(
-            _read(sf_dir, "documents", ["doc_id", "text"]),
-            threshold_num=1, threshold_den=2, shingle_k=3).materialize()
-        _PAIR_CACHE.clear()  # refs from a dead session are unusable
-        _PAIR_CACHE[key] = ds
-    return ds
+def _ngram_pairs_cached(sf_dir: str,
+                        fresh: bool = False) -> "ray.data.Dataset":
+    """Materialized 3-gram Jaccard pair Dataset: q_ngram_jaccard_pairs
+    builds it, and q_dedup_clusters, q_pagerank_dups, q_corpus_clean and
+    q_corpus_train_ready consume the SAME pair set — pair generation is
+    the suite's most expensive stage, so it runs once per session."""
+    return _session_memo("ngram_pairs", sf_dir, lambda: D.jaccard_pairs(
+        _read(sf_dir, "documents", ["doc_id", "text"]),
+        threshold_num=1, threshold_den=2, shingle_k=3).materialize(), fresh)
 
 
 def q_ngram_jaccard_pairs(sf_dir: str) -> "ray.data.Dataset":
     """3-gram shingle Jaccard >= 1/2, exact via prefix filter."""
-    return _ngram_pairs_cached(sf_dir)
+    return _ngram_pairs_cached(sf_dir, fresh=True)
 
 
 @functools.lru_cache(maxsize=1 << 20)
@@ -3658,7 +3649,7 @@ def q_url_canonical_dedup(sf_dir: str) -> "ray.data.Dataset":
     return agg.map_batches(fin, batch_format="pyarrow")
 
 
-def q_kmeans(sf_dir: str) -> "ray.data.Dataset":
+def q_kmeans_clusters(sf_dir: str) -> "ray.data.Dataset":
     """Distributed k-means over the embedding table (the clustering pass a
     semantic-dedup / data-mixing pipeline runs): integer fixed-point Lloyd
     iterations with broadcast centroids and k-row combiner partials per
@@ -5124,8 +5115,6 @@ def q_vendor_topk(sf_dir: str) -> "ray.data.Dataset":
 
     return ds.map_batches(add_geom, batch_format="pyarrow") \
         .groupby("pkey").map_groups(topk_in_bucket, batch_format="pyarrow")
-
-
 
 
 def q_normalize_boxes(sf_dir: str) -> "ray.data.Dataset":
@@ -7115,27 +7104,18 @@ def q_link_graph(sf_dir: str) -> "ray.data.Dataset":
         .groupby("pkey").map_groups(finish, batch_format="pyarrow")
 
 
-_BPE_MERGE_CACHE: Dict[Any, Any] = {}
-
-
-def _bpe_merges_cached(sf_dir: str):
+def _bpe_merges_cached(sf_dir: str, fresh: bool = False):
     from ..functions.bpe import learn_bpe
 
-    key = (_ray_session_key(), os.path.normpath(sf_dir))
-    merges = _BPE_MERGE_CACHE.get(key)
-    if merges is None:
-        merges = learn_bpe(_read(sf_dir, "documents", ["doc_id", "text"]),
-                           n_merges=12)
-        _BPE_MERGE_CACHE.clear()
-        _BPE_MERGE_CACHE[key] = merges
-    return merges
+    return _session_memo("bpe_merges", sf_dir, lambda: learn_bpe(
+        _read(sf_dir, "documents", ["doc_id", "text"]), n_merges=12), fresh)
 
 
 def q_bpe_encode(sf_dir: str) -> "ray.data.Dataset":
     """Tokenizer APPLY path: encode the corpus with the merges q_bpe_merges
-    learns (memoized per (session, sf) like the pair cache) on a stateful
-    actor pool — the merge table is constructor state, a bounded per-actor
-    word->len cache amortizes repeated words. The greedy merge application
+    learns (reused from the session memo) on a stateful actor pool — the
+    merge table is constructor state, a bounded per-actor word->len cache
+    amortizes repeated words. The greedy merge application
     is not SQL-expressible, so the driver twin is a single-process
     reference encode dump (pipelines/oracle_dump.py: reference-learned
     merges + one plain encode pass); pytest additionally gates equality at
@@ -7856,14 +7836,14 @@ def q_bpe_merges(sf_dir: str) -> pa.Table:
     driver twin is a single-process learn_bpe_reference dump
     (pipelines/oracle_dump.py) — rows+schema+hash against the independent
     Counter-loop implementation; pytest additionally gates bit-equality at
-    two parallelism levels on BOTH paths. Merges are memoized per
-    (session, sf) and shared with q_bpe_encode."""
+    two parallelism levels on BOTH paths. Merges are learned afresh on
+    every call and memoized per (session, sf) for q_bpe_encode."""
     from . import oracle_dump as OD
 
     OD.dump("bpe_merges",
             OD.file_fingerprint(os.path.join(sf_dir, "documents.parquet")),
             lambda: OD.bpe_merges_expected(sf_dir))
-    merges = _bpe_merges_cached(sf_dir)
+    merges = _bpe_merges_cached(sf_dir, fresh=True)
     return pa.table({
         "rank": pa.array(range(len(merges)), pa.int64()),
         "left": pa.array([m[0] for m in merges], pa.string()),
@@ -7962,20 +7942,11 @@ ORACLE_SQL["span_merge"] = r"""
 
 # ---------------------------------------- unigram-LM tokenizer (Kudo 2018)
 
-_UNIGRAM_CACHE: Dict[Any, Any] = {}
-
-
-def _unigram_scored_cached(sf_dir: str):
+def _unigram_scored_cached(sf_dir: str, fresh: bool = False):
     from ..functions.unigram import learn_unigram
 
-    key = (_ray_session_key(), os.path.normpath(sf_dir))
-    scored = _UNIGRAM_CACHE.get(key)
-    if scored is None:
-        scored = learn_unigram(_read(sf_dir, "documents",
-                                     ["doc_id", "text"]))
-        _UNIGRAM_CACHE.clear()
-        _UNIGRAM_CACHE[key] = scored
-    return scored
+    return _session_memo("unigram_vocab", sf_dir, lambda: learn_unigram(
+        _read(sf_dir, "documents", ["doc_id", "text"])), fresh)
 
 
 def q_unigram_vocab(sf_dir: str) -> pa.Table:
@@ -7992,7 +7963,7 @@ def q_unigram_vocab(sf_dir: str) -> pa.Table:
     OD.dump("unigram_vocab",
             OD.file_fingerprint(os.path.join(sf_dir, "documents.parquet")),
             lambda: OD.unigram_vocab_expected(sf_dir))
-    scored = _unigram_scored_cached(sf_dir)
+    scored = _unigram_scored_cached(sf_dir, fresh=True)
     return pa.table({
         "piece": pa.array([p for p, _ in scored], pa.string()),
         "ilogp": pa.array([lp for _, lp in scored], pa.int64())})
@@ -8019,21 +7990,15 @@ def q_unigram_encode(sf_dir: str) -> "ray.data.Dataset":
 
 # ------------------------------ WordPiece tokenizer (Schuster & Nakajima)
 
-_WORDPIECE_CACHE: Dict[Any, Any] = {}
-
-
-def _wordpiece_cached(sf_dir: str):
-    """(merges, corpus_alphabet), learned once per (session, sf)."""
+def _wordpiece_cached(sf_dir: str, fresh: bool = False):
+    """(merges, corpus_alphabet), shared through the session memo."""
     from ..functions.wordpiece import corpus_alphabet, learn_wordpiece
 
-    key = (_ray_session_key(), os.path.normpath(sf_dir))
-    got = _WORDPIECE_CACHE.get(key)
-    if got is None:
+    def build():
         docs = _read(sf_dir, "documents", ["doc_id", "text"])
-        got = (learn_wordpiece(docs, n_merges=12), corpus_alphabet(docs))
-        _WORDPIECE_CACHE.clear()
-        _WORDPIECE_CACHE[key] = got
-    return got
+        return learn_wordpiece(docs, n_merges=12), corpus_alphabet(docs)
+
+    return _session_memo("wordpiece_merges", sf_dir, build, fresh)
 
 
 def q_wordpiece_merges(sf_dir: str) -> pa.Table:
@@ -8051,7 +8016,7 @@ def q_wordpiece_merges(sf_dir: str) -> pa.Table:
     OD.dump("wordpiece_merges",
             OD.file_fingerprint(os.path.join(sf_dir, "documents.parquet")),
             lambda: OD.wordpiece_merges_expected(sf_dir))
-    merges, _ = _wordpiece_cached(sf_dir)
+    merges, _ = _wordpiece_cached(sf_dir, fresh=True)
     return pa.table({
         "rank": pa.array(range(len(merges)), pa.int64()),
         "left": pa.array([m[0] for m in merges], pa.string()),
@@ -8181,199 +8146,6 @@ ORACLE_SQL["ppl_buckets"] = f"""
            WHEN s.mean_surp_micro <= t.q2 THEN 'middle'
            ELSE 'tail' END AS bucket
     FROM s, t"""
-
-
-QUERIES: Dict[str, Callable[[str], Any]] = {
-    "orders_nested": q_orders_nested,
-    "crawl_clean": q_crawl_clean,
-    "bpe_encode": q_bpe_encode,
-    "domain_stats": q_domain_stats,
-    "robots_filter": q_robots_filter,
-    "link_pagerank": q_link_pagerank,
-    "late_events": q_late_events,
-    "cdc_compact": q_cdc_compact,
-    "warc_audit": q_warc_audit,
-    "warc_skips": q_warc_skips,
-    "bitext_mine": q_bitext_mine,
-    "url_canonical_dedup": q_url_canonical_dedup,
-    "quality_classifier": q_quality_classifier,
-    "span_merge": q_span_merge,
-    "kmeans_clusters": q_kmeans,
-    "semdedup": q_semdedup,
-    "bigram_surprisal": q_bigram_surprisal,
-    "dsir_logweight": q_dsir_logweight,
-    "trigram_backoff": q_trigram_backoff,
-    "ppl_buckets": q_ppl_buckets,
-    "split_no_leakage": q_split_no_leakage,
-    "incremental_neardup": q_incremental_neardup,
-    "pca_project": q_pca_project,
-    "reshard_plan": q_reshard_plan,
-    "price_bins": q_price_bins,
-    "negative_samples": q_negative_samples,
-    "warc_ingest": q_warc_ingest,
-    "bpe_merges": q_bpe_merges,
-    "unigram_vocab": q_unigram_vocab,
-    "unigram_encode": q_unigram_encode,
-    "wordpiece_merges": q_wordpiece_merges,
-    "wordpiece_encode": q_wordpiece_encode,
-    "link_graph": q_link_graph,
-    "link_triangles": q_link_triangles,
-    "normalize_text": q_normalize_text,
-    "main_content": q_main_content,
-    "pdf_extract": q_pdf_extract,
-    "dom_main": q_dom_main,
-    "substring_dedup": q_substring_dedup,
-    "phrase_search": q_phrase_search,
-    "split_leakage": q_split_leakage,
-    "token_count": q_token_count,
-    "quality_stats": q_quality_stats,
-    "fingerprint": q_fingerprint,
-    "langid": q_langid,
-    "pii_redact": q_pii_redact,
-    "repetition_stats": q_repetition_stats,
-    "doc_length_rank": q_doc_length_rank,
-    "doc_rank_dist": q_doc_rank_dist,
-    "event_pivot": q_event_pivot,
-    "length_outliers": q_length_outliers,
-    "user_activity_full": q_user_activity_full,
-    "funnel": q_funnel,
-    "source_cap": q_source_cap,
-    "bigram_rarity": q_bigram_rarity,
-    "source_lang_mode": q_source_lang_mode,
-    "pack_sequences": q_pack_sequences,
-    "source_enrich": q_source_enrich,
-    "chunk_text": q_chunk_text,
-    "customer_nation": q_customer_nation,
-    "incremental_dedup": q_incremental_dedup,
-    "image_phash_pairs": q_image_phash_pairs,
-    "next_purchase": q_next_purchase,
-    "pack_shuffled": q_pack_shuffled,
-    "retention": q_retention,
-    "pagerank_dups": q_pagerank_dups,
-    "quality_weighted_sample": q_quality_weighted_sample,
-    "length_mad": q_length_mad,
-    "compression_ratio": q_compression_ratio,
-    "line_flag_share": q_line_flag_share,
-    "user_rolling_value": q_user_rolling_value,
-    "nfc_normalize": q_nfc_normalize,
-    "bloom_prefilter": q_bloom_prefilter,
-    "doc_sample_n": q_doc_sample_n,
-    "label_centroids": q_label_centroids,
-    "label_scatter": q_label_scatter,
-    "grouped_comoments": q_grouped_comoments,
-    "zscore_outliers": q_zscore_outliers,
-    "forecast_revenue": q_forecast_revenue,
-    "large_orders": q_large_orders,
-    "purchasers_minus_errors": q_purchasers_minus_errors,
-    "purchase_and_click_users": q_purchase_and_click_users,
-    "priority_region_matrix": q_priority_region_matrix,
-    "event_unpivot": q_event_unpivot,
-    "cube_revenue": q_cube_revenue,
-    "fuzzy_name_pairs": q_fuzzy_name_pairs,
-    "winsorized_revenue": q_winsorized_revenue,
-    "nation_customer_rank": q_nation_customer_rank,
-    "latest_event_per_user": q_latest_event_per_user,
-    "char_trigram_topk": q_char_trigram_topk,
-    "qty_discount_histogram": q_qty_discount_histogram,
-    "user_growth_daily": q_user_growth_daily,
-    "purchase_ohlc_hourly": q_purchase_ohlc_hourly,
-    "cluster_canonical": q_cluster_canonical,
-    "lang_sample_n": q_lang_sample_n,
-    "lang_sources_concat": q_lang_sources_concat,
-    "monthly_revenue": q_monthly_revenue,
-    "events_dow_hour": q_events_dow_hour,
-    "small_quantity_revenue": q_small_quantity_revenue,
-    "brand_type_share": q_brand_type_share,
-    "activity_streaks": q_activity_streaks,
-    "customer_order_gaps": q_customer_order_gaps,
-    "table_audit": q_table_audit,
-    "dataset_split": q_dataset_split,
-    "fk_orphans": q_fk_orphans,
-    "weighted_sample_n": q_weighted_sample_n,
-    "bm25_topk": q_bm25_topk,
-    "price_band_pairs": q_price_band_pairs,
-    "activity_feed": q_activity_feed,
-    "lang_dict_encode": q_lang_dict_encode,
-    "rolling_active_users": q_rolling_active_users,
-    "late_ship_orders": q_late_ship_orders,
-    "length_variance": q_length_variance,
-    "redact_numbers": q_redact_numbers,
-    "props_extract": q_props_extract,
-    "winnow_fingerprint": q_winnow_fingerprint,
-    "inverted_index": q_inverted_index,
-    "top_terms": q_top_terms,
-    "doc_top_terms": q_doc_top_terms,
-    "exact_dedup": q_exact_dedup,
-    "chunk_dedup": q_chunk_dedup,
-    "jaccard_pairs": q_jaccard_pairs,
-    "ngram_jaccard_pairs": q_ngram_jaccard_pairs,
-    "dedup_clusters": q_dedup_clusters,
-    "corpus_clean": q_corpus_clean,
-    "corpus_train_ready": q_corpus_train_ready,
-    "decontaminate": q_decontaminate,
-    "minhash_pairs": q_minhash_pairs,
-    "simhash_pairs": q_simhash_pairs,
-    "embedding_neardup": q_embedding_neardup,
-    "embedding_neardup_lsh": q_embedding_neardup_lsh,
-    "knn_bruteforce": q_knn_bruteforce,
-    "knn_int8": q_knn_int8,
-    "knn_ivf": q_knn_ivf,
-    "knn_pq": q_knn_pq,
-    "knn_ivfpq": q_knn_ivfpq,
-    "pack_bfd": q_pack_bfd,
-    "kn_trigram": q_kn_trigram,
-    "tokbin_roundtrip": q_tokbin_roundtrip,
-    "blocklist_filter": q_blocklist_filter,
-    "cdc_chunk_stats": q_cdc_chunk_stats,
-    "trainready_shards": q_trainready_shards,
-    "source_divergence": q_source_divergence,
-    "audio_fp_pairs": q_audio_fp_pairs,
-    "video_clip_pairs": q_video_clip_pairs,
-    "text_tiling": q_text_tiling,
-    "spatial_join": q_spatial_join,
-    "match_pattern": q_match_pattern,
-    "spatial_knn": q_spatial_knn,
-    "mixture_quota": q_mixture_quota,
-    "image_features": q_image_features,
-    "codec_matrix": q_codec_matrix,
-    "audio_features": q_audio_features,
-    "audio_spectral": q_audio_spectral,
-    "image_edges": q_image_edges,
-    "video_motion": q_video_motion,
-    "video_framesample": q_video_framesample,
-    "pricing_summary": q_pricing_summary,
-    "revenue_rollup": q_revenue_rollup,
-    "quantity_quantiles": q_quantity_quantiles,
-    "lang_length_quantiles": q_lang_length_quantiles,
-    "price_quantiles_approx": q_price_quantiles_approx,
-    "customer_price_quantiles": q_customer_price_quantiles,
-    "top_customers": q_top_customers,
-    "order_revenue_join": q_order_revenue_join,
-    "doc_sample": q_doc_sample,
-    "lang_balanced_sample": q_lang_balanced_sample,
-    "event_users_hll": q_event_users_hll,
-    "event_heavy_hitters": q_event_heavy_hitters,
-    "lang_stats": q_lang_stats,
-    "low_order_customers": q_low_order_customers,
-    "customers_no_big_orders": q_customers_no_big_orders,
-    "nation_revenue": q_nation_revenue,
-    "click_attribution": q_click_attribution,
-    "order_price_bands": q_order_price_bands,
-    "customer_running_revenue": q_customer_running_revenue,
-    "events_rollup": q_events_rollup,
-    "events_tumbling": q_events_tumbling,
-    "events_hopping": q_events_hopping,
-    "top_orders_per_customer": q_top_orders_per_customer,
-    "sessionize": q_sessionize,
-    "token_count_bpe": q_token_count_bpe,
-    "raw_text_join": q_raw_text_join,
-    "vendor_topk": q_vendor_topk,
-    "normalize_boxes": q_normalize_boxes,
-    "extract_amount": q_extract_amount,
-    "extract_date": q_extract_date,
-    "detect_currency": q_detect_currency,
-    "verify_totals": q_verify_totals,
-}
 
 
 # ------------------------------------------------- line-level filter family
@@ -8571,10 +8343,6 @@ ORACLE_SQL["line_dedup"] = r"""
     FROM documents d
     LEFT JOIN la USING (doc_id) LEFT JOIN ka USING (doc_id)"""
 
-QUERIES["gopher_rules"] = q_gopher_rules
-QUERIES["c4_rules"] = q_c4_rules
-QUERIES["line_dedup"] = q_line_dedup
-
 
 # ----------------------------------------------------- k-core decomposition
 
@@ -8629,7 +8397,6 @@ def _kcore_sql(pairs_sql: str, k: int = 15, rounds: int = 12) -> str:
 
 
 ORACLE_SQL["kcore"] = _kcore_sql(_LINK_EDGES_SQL, k=15, rounds=12)
-QUERIES["kcore"] = q_kcore
 
 
 def q_link_communities(sf_dir: str) -> "ray.data.Dataset":
@@ -8685,7 +8452,6 @@ def _lpa_sql(pairs_sql: str, rounds: int = 5) -> str:
 
 
 ORACLE_SQL["link_communities"] = _lpa_sql(_LINK_EDGES_SQL, rounds=5)
-QUERIES["link_communities"] = q_link_communities
 
 
 # ------------------------------------------------------------ JSONL source
@@ -8760,7 +8526,6 @@ ORACLE_SQL["jsonl_ingest"] = """
            sum(length(text))::BIGINT AS sum_text_chars,
            min(md5(text)) AS min_text_md5
     FROM documents GROUP BY source, lang"""
-QUERIES["jsonl_ingest"] = q_jsonl_ingest
 
 
 # -------------------------------------------------------------- CSV source
@@ -8829,7 +8594,6 @@ ORACLE_SQL["csv_ingest"] = """
            min(md5(text)) AS min_text_md5,
            max(md5(text)) AS max_text_md5
     FROM documents GROUP BY lang"""
-QUERIES["csv_ingest"] = q_csv_ingest
 
 
 # ----------------------------------------------- WebDataset tar-shard source
@@ -8902,7 +8666,6 @@ ORACLE_SQL["wds_ingest"] = """
            min(md5(text)) AS min_text_md5,
            max(md5(text)) AS max_text_md5
     FROM documents GROUP BY source, lang"""
-QUERIES["wds_ingest"] = q_wds_ingest
 
 
 # --------------------------------------- interleaved multimodal packing
@@ -8927,7 +8690,6 @@ def q_interleaved_pack(sf_dir: str) -> "ray.data.Dataset":
 
 
 ORACLE_SQL["interleaved_pack"] = _OD.sql_for("interleaved_pack")
-QUERIES["interleaved_pack"] = q_interleaved_pack
 
 
 # -------------------------------------------------- domain mixture weights
@@ -9005,7 +8767,6 @@ ORACLE_SQL["domain_mixture"] = r"""
            ((1000000 * s_micro)
             // (SELECT sum(s_micro) FROM sm))::BIGINT AS w_ppm
     FROM sm"""
-QUERIES["domain_mixture"] = q_domain_mixture
 
 
 # --------------------------------------------------------- curriculum pack
@@ -9080,7 +8841,6 @@ ORACLE_SQL["curriculum_pack"] = r"""
            greatest(0, bin_id * 512 - before)::BIGINT AS tok_start,
            least(n, (bin_id + 1) * 512 - before)::BIGINT AS tok_end
     FROM b"""
-QUERIES["curriculum_pack"] = q_curriculum_pack
 
 
 # ------------------------------------------------- FineWeb-style pipeline
@@ -9138,7 +8898,6 @@ ORACLE_SQL["corpus_fineweb"] = f"""
       AND d.doc_id IN (SELECT min(doc_id) FROM documents GROUP BY text)
       AND d.doc_id IN (SELECT doc_id FROM ({ORACLE_SQL["ppl_buckets"]}) p
                        WHERE p.bucket != 'tail')"""
-QUERIES["corpus_fineweb"] = q_corpus_fineweb
 
 
 # corpus_dolma: blocklist SQL + the two dump tables + identical
@@ -9155,7 +8914,6 @@ ORACLE_SQL["corpus_dolma"] = f"""
                    read_parquet('{_OD.dump_path("kn_trigram")}')),
         t AS (SELECT quantile_disc(mean_kn_micro, 2.0/3) AS q2 FROM s)
         SELECT s.doc_id FROM s, t WHERE s.mean_kn_micro <= t.q2)"""
-QUERIES["corpus_dolma"] = q_corpus_dolma
 
 
 def q_ks_lang_length(sf_dir: str) -> "ray.data.Dataset":
@@ -9189,7 +8947,6 @@ ORACLE_SQL["ks_lang_length"] = """
            CAST(max(abs(a.fm - b.fm)) AS BIGINT) AS d_micro
     FROM f a JOIN f b ON a.v = b.v AND a.g < b.g
     GROUP BY a.g, b.g"""
-QUERIES["ks_lang_length"] = q_ks_lang_length
 
 
 def q_chi2_lang_source(sf_dir: str) -> "ray.data.Dataset":
@@ -9221,7 +8978,6 @@ ORACLE_SQL["chi2_lang_source"] = """
            CAST((SELECT (count(DISTINCT a) - 1) * (count(DISTINCT b) - 1)
                  FROM cells) AS BIGINT) AS dof,
            CAST((SELECT n FROM nn) AS BIGINT) AS n"""
-QUERIES["chi2_lang_source"] = q_chi2_lang_source
 
 
 def q_substring_prune(sf_dir: str) -> "ray.data.Dataset":
@@ -9242,7 +8998,6 @@ def q_substring_prune(sf_dir: str) -> "ray.data.Dataset":
 
 
 ORACLE_SQL["substring_prune"] = _OD.sql_for("substring_prune")
-QUERIES["substring_prune"] = q_substring_prune
 
 
 def q_mwu_lang_length(sf_dir: str) -> "ray.data.Dataset":
@@ -9275,7 +9030,6 @@ ORACLE_SQL["mwu_lang_length"] = """
            CAST(sum(a.c * (2 * b.cm - b.c)) AS BIGINT) AS u2_a
     FROM f a JOIN f b ON a.v = b.v AND a.g < b.g
     GROUP BY a.g, b.g"""
-QUERIES["mwu_lang_length"] = q_mwu_lang_length
 
 
 def q_knn_recall(sf_dir: str) -> "ray.data.Dataset":
@@ -9319,7 +9073,6 @@ ORACLE_SQL["knn_recall"] = f"""
                AS recall_micro
     FROM bf LEFT JOIN ivf ON ivf.qid = bf.qid AND ivf.vec_id = bf.vec_id
     GROUP BY bf.qid"""
-QUERIES["knn_recall"] = q_knn_recall
 
 
 def q_jsonl_gz_ingest(sf_dir: str) -> "ray.data.Dataset":
@@ -9338,7 +9091,6 @@ def q_jsonl_gz_ingest(sf_dir: str) -> "ray.data.Dataset":
 
 
 ORACLE_SQL["jsonl_gz_ingest"] = ORACLE_SQL["jsonl_ingest"]
-QUERIES["jsonl_gz_ingest"] = q_jsonl_gz_ingest
 
 
 def q_csv_gz_ingest(sf_dir: str) -> "ray.data.Dataset":
@@ -9355,7 +9107,6 @@ def q_csv_gz_ingest(sf_dir: str) -> "ray.data.Dataset":
 
 
 ORACLE_SQL["csv_gz_ingest"] = ORACLE_SQL["csv_ingest"]
-QUERIES["csv_gz_ingest"] = q_csv_gz_ingest
 
 
 def q_jsonl_zst_ingest(sf_dir: str) -> "ray.data.Dataset":
@@ -9372,7 +9123,6 @@ def q_jsonl_zst_ingest(sf_dir: str) -> "ray.data.Dataset":
 
 
 ORACLE_SQL["jsonl_zst_ingest"] = ORACLE_SQL["jsonl_ingest"]
-QUERIES["jsonl_zst_ingest"] = q_jsonl_zst_ingest
 
 
 def _columnar_shard_dir(sf_dir: str, fmt: str) -> str:
@@ -9400,7 +9150,6 @@ def q_orc_ingest(sf_dir: str) -> "ray.data.Dataset":
 
 
 ORACLE_SQL["orc_ingest"] = ORACLE_SQL["csv_ingest"]
-QUERIES["orc_ingest"] = q_orc_ingest
 
 
 def q_ipc_ingest(sf_dir: str) -> "ray.data.Dataset":
@@ -9417,7 +9166,6 @@ def q_ipc_ingest(sf_dir: str) -> "ray.data.Dataset":
 
 
 ORACLE_SQL["ipc_ingest"] = ORACLE_SQL["csv_ingest"]
-QUERIES["ipc_ingest"] = q_ipc_ingest
 
 
 def q_copurchase_pairs(sf_dir: str) -> "ray.data.Dataset":
@@ -9492,7 +9240,6 @@ ORACLE_SQL["regr_price_qty"] = """
            CAST((1000000 * (sy*(n*sxx - sx*sx) - (n*sxy - sx*sy)*sx))
                 // (n * (n*sxx - sx*sx)) AS BIGINT) AS icept_micro
     FROM s"""
-QUERIES["regr_price_qty"] = q_regr_price_qty
 
 
 def q_acf_daily_revenue(sf_dir: str) -> "ray.data.Dataset":
@@ -9566,7 +9313,6 @@ ORACLE_SQL["acf_daily_revenue"] = """
            CAST((1000000 * num) // (SELECT dd FROM den) AS BIGINT)
                AS acf_micro
     FROM lags"""
-QUERIES["acf_daily_revenue"] = q_acf_daily_revenue
 
 
 ORACLE_SQL["copurchase_pairs"] = """
@@ -9588,7 +9334,6 @@ ORACLE_SQL["copurchase_pairs"] = """
     JOIN icnt ia ON ia.l_partkey = p.part_a
     JOIN icnt ib ON ib.l_partkey = p.part_b
     WHERE p.support >= 2"""
-QUERIES["copurchase_pairs"] = q_copurchase_pairs
 
 
 def q_skyline_lineitem(sf_dir: str) -> "ray.data.Dataset":
@@ -9642,7 +9387,6 @@ ORACLE_SQL["skyline_lineitem"] = """
     SELECT t.l_orderkey, t.l_linenumber, t.price_cents, t.disc_pct
     FROM t JOIN front ON t.price_cents = front.price_cents
                      AND t.disc_pct = front.dmin"""
-QUERIES["skyline_lineitem"] = q_skyline_lineitem
 
 
 def q_snm_customer_pairs(sf_dir: str) -> "ray.data.Dataset":
@@ -9666,7 +9410,6 @@ ORACLE_SQL["snm_customer_pairs"] = """
            CAST(levenshtein(a.c_name, b.c_name) AS BIGINT) AS dist
     FROM r a JOIN r b ON b.rk > a.rk AND b.rk <= a.rk + 3
     WHERE levenshtein(a.c_name, b.c_name) <= 3"""
-QUERIES["snm_customer_pairs"] = q_snm_customer_pairs
 
 
 def q_view_purchase_band(sf_dir: str) -> "ray.data.Dataset":
@@ -9710,7 +9453,6 @@ ORACLE_SQL["view_purchase_band"] = """
       ON p.user_id = v.user_id
      AND v.event_type = 'view' AND p.event_type = 'purchase'
      AND abs(epoch_us(p.ts) - epoch_us(v.ts)) < 600000000"""
-QUERIES["view_purchase_band"] = q_view_purchase_band
 
 
 # ------------------------------------------- Avro and Delta-log ingestion
@@ -9733,7 +9475,6 @@ def q_avro_ingest(sf_dir: str) -> "ray.data.Dataset":
 
 
 ORACLE_SQL["avro_ingest"] = ORACLE_SQL["csv_ingest"]
-QUERIES["avro_ingest"] = q_avro_ingest
 
 
 def q_delta_ingest(sf_dir: str) -> "ray.data.Dataset":
@@ -9764,7 +9505,6 @@ ORACLE_SQL["delta_ingest"] = """
     FROM documents
     WHERE doc_id % 8 != 3 OR n_chars >= 500
     GROUP BY lang"""
-QUERIES["delta_ingest"] = q_delta_ingest
 
 
 def q_scd2_priority(sf_dir: str) -> "ray.data.Dataset":
@@ -9857,7 +9597,6 @@ ORACLE_SQL["scd2_priority"] = """
            (CASE WHEN LEAD(valid_from) OVER w2 IS NULL
                  THEN 1 ELSE 0 END)::BIGINT AS is_current
     FROM agg WINDOW w2 AS (PARTITION BY o_custkey ORDER BY run_id)"""
-QUERIES["scd2_priority"] = q_scd2_priority
 
 
 def q_benford_digits(sf_dir: str) -> "ray.data.Dataset":
@@ -9915,7 +9654,6 @@ ORACLE_SQL["benford_digits"] = """
            CAST((n_orders * 1000000) // (SELECT SUM(n_orders) FROM c)
                 AS BIGINT) AS obs_ppm
     FROM c"""
-QUERIES["benford_digits"] = q_benford_digits
 
 
 def q_avro_quarantine(sf_dir: str) -> "ray.data.Dataset":
@@ -9968,7 +9706,6 @@ ORACLE_SQL["avro_quarantine"] = """
     FROM documents
     WHERE doc_id % 8 != 5
     GROUP BY lang"""
-QUERIES["avro_quarantine"] = q_avro_quarantine
 
 
 def q_zorder_cluster(sf_dir: str) -> "ray.data.Dataset":
@@ -10090,7 +9827,6 @@ ORACLE_SQL["zorder_cluster"] = """
            (MIN(uy) - 1048576)::BIGINT AS min_y,
            (MAX(uy) - 1048576)::BIGINT AS max_y
     FROM r GROUP BY file_id"""
-QUERIES["zorder_cluster"] = q_zorder_cluster
 
 
 def q_avro_evolve(sf_dir: str) -> "ray.data.Dataset":
@@ -10116,7 +9852,6 @@ def q_avro_evolve(sf_dir: str) -> "ray.data.Dataset":
 
 
 ORACLE_SQL["avro_evolve"] = ORACLE_SQL["csv_ingest"]
-QUERIES["avro_evolve"] = q_avro_evolve
 
 
 def q_delta_time_travel(sf_dir: str) -> "ray.data.Dataset":
@@ -10137,7 +9872,6 @@ def q_delta_time_travel(sf_dir: str) -> "ray.data.Dataset":
 
 
 ORACLE_SQL["delta_time_travel"] = ORACLE_SQL["csv_ingest"]
-QUERIES["delta_time_travel"] = q_delta_time_travel
 
 
 def q_delta_write_roundtrip(sf_dir: str) -> "ray.data.Dataset":
@@ -10176,7 +9910,6 @@ ORACLE_SQL["delta_write_roundtrip"] = """
     FROM documents
     WHERE n_chars >= 500
     GROUP BY lang"""
-QUERIES["delta_write_roundtrip"] = q_delta_write_roundtrip
 
 
 def q_delta_compact(sf_dir: str) -> "ray.data.Dataset":
@@ -10214,7 +9947,6 @@ def q_delta_compact(sf_dir: str) -> "ray.data.Dataset":
 
 
 ORACLE_SQL["delta_compact"] = ORACLE_SQL["csv_ingest"]
-QUERIES["delta_compact"] = q_delta_compact
 
 
 def q_audio_mfcc(sf_dir: str) -> "ray.data.Dataset":
@@ -10229,9 +9961,6 @@ def q_audio_mfcc(sf_dir: str) -> "ray.data.Dataset":
 
     _dump_media_twin("audio_mfcc", sf_dir, "audio", "AudioMFCCStage")
     return build_media_pipeline(_media_ds(sf_dir), "audio_mfcc")
-
-
-QUERIES["audio_mfcc"] = q_audio_mfcc
 
 
 def q_gif_framesample(sf_dir: str) -> "ray.data.Dataset":
@@ -10255,9 +9984,6 @@ def q_gif_framesample(sf_dir: str) -> "ray.data.Dataset":
         VideoFrameSampleStage,
         fn_constructor_kwargs={"codec": RealCodec(), "stride": 2},
         batch_format="pyarrow", batch_size=8, concurrency=(1, 4))
-
-
-QUERIES["gif_framesample"] = q_gif_framesample
 
 
 def q_delta_partition_prune(sf_dir: str) -> "ray.data.Dataset":
@@ -10292,4 +10018,19 @@ ORACLE_SQL["delta_partition_prune"] = """
     FROM documents
     WHERE lang = 'de'
     GROUP BY lang"""
-QUERIES["delta_partition_prune"] = q_delta_partition_prune
+
+
+def check_registry(queries: Dict[str, Any], oracle_sql: Dict[str, str]) -> None:
+    """Raise when a query has no oracle twin or a twin has no query."""
+    no_twin = sorted(set(queries) - set(oracle_sql))
+    no_query = sorted(set(oracle_sql) - set(queries))
+    if no_twin or no_query:
+        raise ValueError(f"query registry: no oracle twin for {no_twin}; "
+                         f"no query for twin {no_query}")
+
+
+# The query registry: every q_<name> function of this module, under <name>.
+QUERIES: Dict[str, Callable[[str], Any]] = {
+    name[2:]: fn for name, fn in list(globals().items())
+    if name.startswith("q_") and getattr(fn, "__module__", None) == __name__}
+check_registry(QUERIES, ORACLE_SQL)

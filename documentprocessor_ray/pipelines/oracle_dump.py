@@ -476,10 +476,10 @@ def price_quantiles_approx_expected(sf_dir: str, sub_bits: int = 5
 
 
 def kmeans_expected(sf_dir: str, k: int = 8, iters: int = 5) -> pa.Table:
-    """Twin of q_kmeans: the identical integer fixed-point Lloyd loop in
-    one plain numpy pass (functions/clustering.kmeans_int_reference), with
-    the seed selection replayed from the same multiplicative-hash order the
-    distributed sampler uses."""
+    """Twin of q_kmeans_clusters: the identical integer fixed-point Lloyd
+    loop in one plain numpy pass (functions/clustering.kmeans_int_reference),
+    with the seed selection replayed from the same multiplicative-hash order
+    the distributed sampler uses."""
     from ..functions.clustering import kmeans_int_reference
 
     vids, embs, seed_rows = _embedding_seed_rows(sf_dir, k)

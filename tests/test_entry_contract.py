@@ -6,6 +6,8 @@ from __future__ import annotations
 import ast
 import os
 
+import pytest
+
 ENTRY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "__ray_entry__.py")
 
@@ -29,12 +31,16 @@ class TestEntryContract:
         sqls = E.oracle_sql()
         assert set(sqls).issubset(set(qs))
         # coverage floor: every query carries a rows+schema+hash twin
-        # (round 4: 187 queries, 187 gated — exact SQL twins + oracle-dump
-        # twins; the line-filter family gopher_rules/c4_rules/line_dedup
-        # joined with exact SQL twins)
+        # (exact SQL twins + oracle-dump twins; 239 of each at this floor)
         assert len(sqls) >= 239
         assert len(sqls) == len(qs)
         assert len(qs) >= 239
+
+    def test_extract_query_may_not_shadow_a_registered_one(self):
+        E = _entry_module()
+        with pytest.raises(ValueError, match=r"\['main_content'\]"):
+            E._with_extract({"main_content": 1, "a": 2},
+                            {"main_content": 3, "b": 4})
 
     def test_no_ray_init_in_entry_module(self):
         """The driver owns the Ray session; the module must never init it."""
