@@ -23,7 +23,6 @@ class JobConfig:
     documents_dir: str = ""
     media_dir: str = ""
     output_dir: str = ""
-    batch_size: int = 64
     model: Optional[str] = None          # None = heuristics only; "rule"/"null"
     max_partitions: Optional[int] = None
     debug_dir: Optional[str] = None      # S7 debug sink, off by default

@@ -206,12 +206,8 @@ def generate_corpus(
                     noise_seed=int(rng.integers(0, 2**31)) if noise_density > 0 else None,
                     noise_density=noise_density,
                 )
-                # zlib-compressed pages: mostly-white renders shrink ~100x,
-                # which is what makes 10k-page scaling corpora fit on disk
-                payload = zlib.compress(img.tobytes(), level=1)
-                header = np.asarray([img.ndim, *img.shape], dtype=np.int32).tobytes()
-                with open(os.path.join(media_dir, s["media_ref"] + ".npz8"), "wb") as f:
-                    f.write(header + payload)
+                write_page(os.path.join(media_dir, s["media_ref"] + ".npz8"),
+                           img)
         parts[doc_part(doc_id, num_partitions)].append({"doc_id": doc_id, "spans": spans})
 
     for p, rows in parts.items():
@@ -220,6 +216,16 @@ def generate_corpus(
         table = pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA) if rows else DOCUMENTS_SCHEMA.empty_table()
         pq.write_table(table, os.path.join(pdir, "data.parquet"))
     return docs_dir, media_dir
+
+
+def write_page(path: str, img: np.ndarray) -> None:
+    """Write one uint8 page in the ``.npz8`` layout ``MediaStore.load``
+    reads: an int32 ndim, the int32 shape, then the zlib-compressed
+    C-order bytes. Mostly-white renders shrink ~100x at level 1, which is
+    what makes 10k-page scaling corpora fit on disk."""
+    header = np.asarray([img.ndim, *img.shape], dtype=np.int32).tobytes()
+    with open(path, "wb") as f:
+        f.write(header + zlib.compress(img.tobytes(), level=1))
 
 
 class MediaStore:

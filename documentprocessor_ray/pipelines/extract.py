@@ -180,9 +180,8 @@ class SpanProcessor:
     receipt_processor.py:50-54, become __init__ state)."""
 
     def __init__(self, media_dir: str, cfg: Optional[PreprocessConfig] = None,
-                 debug_dir: Optional[str] = None, log_dir: Optional[str] = None,
-                 engine=None, html_mode: str = "blocks",
-                 keep_words: bool = False):
+                 debug_dir: Optional[str] = None, engine=None,
+                 html_mode: str = "blocks", keep_words: bool = False):
         from ..ocr_kernel import get_engine
 
         self.store = MediaStore(media_dir)
@@ -191,7 +190,6 @@ class SpanProcessor:
         self.kernel = get_engine(engine)
         self.cfg = cfg or PreprocessConfig()
         self.debug_dir = debug_dir  # S7 tee sink, off by default
-        self.log_dir = log_dir      # S8 telemetry, off by default
         # html span extraction: 'blocks' = flat block/link-density strip,
         # 'dom' = tag-tree Readability-style scoring (north rule's third
         # extraction operator, selectable per pipeline)
@@ -263,11 +261,6 @@ class SpanProcessor:
                     out_texts[i] = media_span_lines(words[i])
             except Exception as e:  # in-band error channel (M31)
                 errors[i] = str(e)
-        if self.log_dir:
-            from ..stages.debug import log_event
-            log_event(self.log_dir, "batch_done", rows=n,
-                      media=kinds.count("media"),
-                      errors=sum(1 for e in errors if e))
         return list(zip(kinds, refs, out_texts, words, errors))
 
     def _ocr(self, ref: str) -> List[Dict[str, Any]]:
@@ -417,7 +410,6 @@ def build_pipeline(
     batch_size: Optional[int] = None,
     keep_words: bool = False,
     debug_dir: Optional[str] = None,
-    log_dir: Optional[str] = None,
     engine=None,
     html_mode: str = "blocks",
 ) -> "ray.data.Dataset":
@@ -434,23 +426,16 @@ def build_pipeline(
     return docs.map_batches(
         span_task, batch_format="pyarrow", batch_size=batch_size,
         fn_kwargs={"media_dir": media_dir, "cfg": cfg,
-                   "debug_dir": debug_dir, "log_dir": log_dir,
-                   "engine": engine, "html_mode": html_mode,
-                   "keep_words": keep_words})
+                   "debug_dir": debug_dir, "engine": engine,
+                   "html_mode": html_mode, "keep_words": keep_words})
 
 
-def run_extraction(
-    documents_dir: str,
-    media_dir: str,
-    output_dir: Optional[str] = None,
-    input_format: Optional[str] = None,
-    output_format: str = "parquet",
-    **kwargs,
-) -> "ray.data.Dataset":
+def run_extraction(documents_dir: str, media_dir: str,
+                   **kwargs) -> "ray.data.Dataset":
     """Read the documents table (Lance when available/detected, parquet
     fallback — sources/documents.read_table_auto), materialize it, and
-    build the pipeline over the materialized documents; optionally write
-    partitioned output (parquet|lance|json).
+    build the pipeline over the materialized documents. The result is
+    lazy: consume it once, or write it with sources/sinks.write_results.
 
     The read runs here, before the span stage: while a read operator is
     alive, Ray Data keeps a share of the CPUs for it, so a streamed read
@@ -462,15 +447,15 @@ def run_extraction(
     shares, gets ``target_max_block_size = SPAN_BLOCK_BYTES``; the
     process-global ``DataContext.get_current()`` is left untouched."""
     from ..sources.documents import read_table_auto
-    from ..sources.sinks import write_results
 
-    docs = read_table_auto(documents_dir, fmt=input_format)
+    docs = read_table_auto(documents_dir)
     docs.context.target_max_block_size = SPAN_BLOCK_BYTES
     docs = docs.select_columns(["doc_id", "spans"]).materialize()
-    ds = build_pipeline(docs, media_dir, **kwargs)
-    if output_dir:
-        write_results(ds, output_dir, fmt=output_format)
-    return ds
+    return build_pipeline(docs, media_dir, **kwargs)
+
+
+# Documents per scorer actor call (run_scored_extraction).
+SCORER_BATCH_SIZE = 64
 
 
 def run_scored_extraction(
@@ -478,7 +463,6 @@ def run_scored_extraction(
     media_dir: str,
     model: str = "rule",
     scorer_concurrency=(1, 4),
-    scorer_batch_size: int = 64,
     scorer_resources: Optional[Dict[str, Any]] = None,
     use_pixels: bool = False,
     **kwargs,
@@ -514,7 +498,7 @@ def run_scored_extraction(
         ScorerStage,
         fn_constructor_kwargs=ctor,
         batch_format="pyarrow",
-        batch_size=scorer_batch_size,
+        batch_size=SCORER_BATCH_SIZE,
         concurrency=scorer_concurrency,
         **(scorer_resources if scorer_resources is not None
            else {"num_cpus": 1}),

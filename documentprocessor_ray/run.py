@@ -23,7 +23,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--documents-dir")
     ap.add_argument("--media-dir")
     ap.add_argument("--output-dir")
-    ap.add_argument("--batch-size", type=int)
     ap.add_argument("--model",
                     help="scorer name (rule|null|donut|idefics2); omit for "
                          "heuristics only")
@@ -66,7 +65,6 @@ def main(argv=None) -> int:
         "documents_dir": args.documents_dir,
         "media_dir": args.media_dir,
         "output_dir": args.output_dir,
-        "batch_size": args.batch_size,
         "model": args.model,
         "engine": args.engine,
         "max_partitions": args.max_partitions,
@@ -90,8 +88,7 @@ def main(argv=None) -> int:
 
     summary = run_partitioned(
         cfg.documents_dir, cfg.media_dir, cfg.output_dir,
-        cfg=cfg.preprocess, batch_size=cfg.batch_size,
-        max_partitions=cfg.max_partitions,
+        cfg=cfg.preprocess, max_partitions=cfg.max_partitions,
         model=cfg.model, debug_dir=cfg.debug_dir,
         engine=cfg.engine, html_mode=cfg.html_mode,
     )

@@ -1,36 +1,35 @@
 """Debug tee sink (reference S7, Ocr/src/cli/debug_output.py:24-339).
 
 The reference writes step_01..step_08 PNGs + debug_summary.json per job. Here
-the debug stage is an optional TEE on the span stage: when enabled it writes,
-per media span, the preprocessed page (compressed .npz8 — no PNG codec in
-this container) and a JSON record of the words found, into a per-partition
-directory. Off by default; zero cost when disabled.
+the debug stage is an optional TEE on the span stage
+(``SpanProcessor(debug_dir=)``): per media span it writes into ``debug_dir``
+a numbered PNG per preprocessing step that ran, an OCR-box overlay, the
+preprocessed page as ``{media_ref}.pre.npz8`` (``corpus.write_page``, so
+``MediaStore(debug_dir).load(media_ref + ".pre")`` reads it back), the word
+dump and a debug_summary.json. Off by default; zero cost when disabled.
 
-Event log (reference S8, the stdout {"event": ...} stream parsed by C#,
-commands.py:241-258 / ServiceSideDocumentProcessor.cs:636-657): replaced by
-``log_event`` appending JSON-lines to a per-worker file — progress telemetry
-becomes durable rows, not a parsed pipe; aggregate counters live in the
-checkpoint manifests (state/checkpoint.py).
+The reference's S8 event stream (the stdout {"event": ...} lines parsed by
+C#, commands.py:241-258 / ServiceSideDocumentProcessor.cs:636-657) has no
+twin here: each checkpoint manifest (state/checkpoint.py) records its
+partition's rows in, ok and failed.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
-import zlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
+
+from ..corpus import write_page
 
 
 def save_page(debug_dir: str, media_ref: str, image: np.ndarray,
               words: List[Dict[str, Any]]) -> None:
     """Write one preprocessed page + its word dump under debug_dir."""
     os.makedirs(debug_dir, exist_ok=True)
-    header = np.asarray([image.ndim, *image.shape], dtype=np.int32).tobytes()
-    with open(os.path.join(debug_dir, media_ref + ".pre.npz8"), "wb") as f:
-        f.write(header + zlib.compress(np.ascontiguousarray(image).tobytes(), 1))
+    write_page(os.path.join(debug_dir, media_ref + ".pre.npz8"), image)
     with open(os.path.join(debug_dir, media_ref + ".words.json"), "w") as f:
         json.dump({"media_ref": media_ref, "n_words": len(words), "words": words},
                   f, indent=2)
@@ -97,27 +96,3 @@ def save_steps(debug_dir: str, media_ref: str,
     with open(os.path.join(debug_dir, media_ref + ".debug_summary.json"),
               "w") as f:
         json.dump(summary, f, indent=2)
-
-
-def log_event(log_dir: Optional[str], event: str, **payload: Any) -> None:
-    """Append one JSON-lines telemetry event; no-op when log_dir is None."""
-    if not log_dir:
-        return
-    os.makedirs(log_dir, exist_ok=True)
-    rec = {"event": event, "ts": time.time(), "pid": os.getpid(), **payload}
-    with open(os.path.join(log_dir, f"events-{os.getpid()}.jsonl"), "a") as f:
-        f.write(json.dumps(rec) + "\n")
-
-
-def read_events(log_dir: str) -> List[Dict[str, Any]]:
-    out: List[Dict[str, Any]] = []
-    if not os.path.isdir(log_dir):
-        return out
-    for name in sorted(os.listdir(log_dir)):
-        if name.startswith("events-") and name.endswith(".jsonl"):
-            with open(os.path.join(log_dir, name)) as f:
-                for line in f:
-                    line = line.strip()
-                    if line:
-                        out.append(json.loads(line))
-    return out

@@ -39,16 +39,20 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..ocr_kernel import engine_key
 from ..pipelines.extract import run_extraction, run_scored_extraction
 from ..stages.preprocess import PreprocessConfig
 
 
-def _config_hash(cfg: Optional[PreprocessConfig], batch_size: int,
-                 model: Optional[str] = None) -> str:
+def _config_hash(cfg: Optional[PreprocessConfig], model: Optional[str],
+                 engine, html_mode: str) -> str:
+    """Hash of every option that changes a partition's rows: a manifest
+    under another hash is not a completed partition for this run."""
     payload = json.dumps({
         "cfg": vars(cfg) if cfg else vars(PreprocessConfig()),
-        "batch_size": batch_size,
         "model": model,
+        "engine": engine_key(engine),
+        "html_mode": html_mode,
     }, sort_keys=True, default=str)
     return hashlib.md5(payload.encode()).hexdigest()
 
@@ -123,7 +127,6 @@ def run_partitioned(
     media_dir: str,
     output_dir: str,
     cfg: Optional[PreprocessConfig] = None,
-    batch_size: int = 64,
     max_partitions: Optional[int] = None,
     model: Optional[str] = None,
     debug_dir: Optional[str] = None,
@@ -136,12 +139,13 @@ def run_partitioned(
     processes (used by the kill-and-resume test to simulate a dying run).
     Each incomplete partition runs ``run_extraction`` over its directory, or
     ``run_scored_extraction`` (the scorer actor pool, stages/scorer.py) when
-    ``model`` is set; the remaining knobs thread straight to it so the CLI
+    ``model`` is set, with its default plan (one span task per read
+    block); the remaining options thread straight to it so the CLI
     surface is not silently dropped. The Dataset is consumed once: every
     block is written and counted by the same task (``_write_block``).
     Returns a summary with per-partition status.
     """
-    chash = _config_hash(cfg, batch_size, model=model)
+    chash = _config_hash(cfg, model, engine, html_mode)
     parts = list_partitions(documents_dir)
     done = set(completed_partitions(output_dir, chash))
     summary: Dict[str, Any] = {"config_hash": chash, "partitions": {}, "skipped": sorted(done)}
@@ -173,13 +177,13 @@ def run_partitioned(
                 os.remove(stale_manifest)
             shutil.rmtree(part_out)
         in_path = os.path.join(documents_dir, part)
-        kwargs = dict(cfg=cfg, batch_size=batch_size, html_mode=html_mode,
-                      debug_dir=debug_dir, engine=engine)
+        kwargs = dict(cfg=cfg, html_mode=html_mode, debug_dir=debug_dir,
+                      engine=engine)
         if model is None:
             ds = run_extraction(in_path, media_dir, **kwargs)
         else:
             ds = run_scored_extraction(in_path, media_dir, model=model,
-                                       scorer_batch_size=batch_size, **kwargs)
+                                       **kwargs)
         os.makedirs(part_out, exist_ok=True)
         # one pass: the task that writes a block also counts it; the
         # manifest rename below stays the atomic commit point

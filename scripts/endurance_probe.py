@@ -46,8 +46,7 @@ import ray
 ray.init(address="local", num_cpus={NUM_CPUS}, include_dashboard=False,
          logging_level="ERROR")
 from documentprocessor_ray.state.checkpoint import run_partitioned
-s = run_partitioned("{BASE}/documents", "{BASE}/media", "{OUT}",
-                    batch_size=64)
+s = run_partitioned("{BASE}/documents", "{BASE}/media", "{OUT}")
 import json
 print("SUMMARY_JSON:" + json.dumps(
     {{k: v for k, v in s.items() if k != "partitions"}}

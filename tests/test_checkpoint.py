@@ -86,7 +86,7 @@ class TestCheckpointResume:
         mpath = os.path.join(out, "_manifest", f"{victim}.json")
         with open(mpath, "w") as f:
             f.write('{"partition": "part=')  # torn write
-        chash = _config_hash(None, 64)
+        chash = _config_hash(None, None, None, "blocks")
         assert victim not in completed_partitions(out, chash)
         s = run_partitioned(docs_dir, media_dir, out)
         assert s["partitions"][victim] == "done"
@@ -100,6 +100,21 @@ class TestCheckpointResume:
         cfg2 = PreprocessConfig(apply_threshold=True)
         s = run_partitioned(docs_dir, media_dir, out, cfg=cfg2, max_partitions=1)
         assert s["skipped"] == []  # different config hash -> nothing skipped
+
+    @pytest.mark.parametrize("change", [{"html_mode": "dom"},
+                                        {"engine": "kernel_lm"}])
+    def test_extractor_change_invalidates(self, ray_session, ckpt_corpus,
+                                          tmp_path, change):
+        """html_mode and engine change a partition's text, so a run under
+        another one must not skip the partitions a default run wrote."""
+        docs_dir, media_dir = ckpt_corpus
+        out = str(tmp_path / "out")
+        first = run_partitioned(docs_dir, media_dir, out, max_partitions=1)
+        done = [p for p, st in first["partitions"].items() if st == "done"]
+        s = run_partitioned(docs_dir, media_dir, out, max_partitions=1,
+                            **change)
+        assert s["skipped"] == []
+        assert s["partitions"][done[0]] == "done"
 
     def test_manifest_counters(self, ray_session, ckpt_corpus, tmp_path):
         docs_dir, media_dir = ckpt_corpus
@@ -185,6 +200,31 @@ class TestWriteBlock:
             {"file": "", "docs_in": 0, "docs_ok": 0, "words": 0,
              "spans_out": 0}]
         assert os.listdir(tmp_path) == []
+
+
+class TestWriterPlan:
+    def test_one_file_per_read_block(self, ray_session, ckpt_corpus,
+                                     tmp_path):
+        """The writer runs the flagship's plan: one span task per read
+        block, each writing one file. A partition read as k > 1 blocks
+        lists k files in its manifest; batching the span stage bundles
+        those blocks into one task and one file."""
+        from documentprocessor_ray.sources.documents import read_table_auto
+
+        docs_dir, media_dir = ckpt_corpus
+        blocks = {}
+        for part in list_partitions(docs_dir):
+            read = read_table_auto(os.path.join(docs_dir, part)).materialize()
+            blocks[part] = sum(
+                1 for b in read.iter_batches(batch_size=None,
+                                             batch_format="pyarrow")
+                if b.num_rows)
+        assert max(blocks.values()) > 1, blocks
+        out = str(tmp_path / "out")
+        run_partitioned(docs_dir, media_dir, out)
+        for part, k in blocks.items():
+            with open(os.path.join(out, "_manifest", f"{part}.json")) as f:
+                assert len(json.load(f)["files"]) == k, (part, k)
 
 
 class TestFilePerBlock:
@@ -276,7 +316,12 @@ class TestTornPartitionOutput:
         assert "model_n_items" in t.column_names
 
     def test_model_changes_config_hash(self):
-        assert _config_hash(None, 64) != _config_hash(None, 64, model="rule")
+        base = _config_hash(None, None, None, "blocks")
+        assert base != _config_hash(None, "rule", None, "blocks")
+        assert base != _config_hash(None, None, "kernel_lm", "blocks")
+        assert base != _config_hash(None, None, None, "dom")
+        # the default engine has one key whether it is named or not
+        assert base == _config_hash(None, None, "kernel", "blocks")
 
     def test_stale_manifest_never_outlives_deleted_output(
             self, ray_session, ckpt_corpus, tmp_path, monkeypatch):
@@ -290,7 +335,7 @@ class TestTornPartitionOutput:
         docs_dir, media_dir = ckpt_corpus
         out = str(tmp_path / "out")
         run_partitioned(docs_dir, media_dir, out, max_partitions=1)
-        old_hash = _config_hash(None, 64)
+        old_hash = _config_hash(None, None, None, "blocks")
         victim = completed_partitions(out, old_hash)[0]
 
         def boom(*a, **k):

@@ -1,4 +1,4 @@
-"""Config loader (S4), CLI driver (S3), debug sink (S7), event log (S8)."""
+"""Config loader (S4), CLI driver (S3), debug sink (S7)."""
 
 from __future__ import annotations
 
@@ -6,33 +6,38 @@ import json
 import os
 
 import numpy as np
+import pyarrow.dataset as pads
 import pytest
 
 from documentprocessor_ray.config import JobConfig, load_config, _merge
-from documentprocessor_ray.stages.debug import log_event, read_events, save_page
+from documentprocessor_ray.stages.debug import save_page
 
 
 class TestConfig:
     def test_defaults(self):
         cfg = load_config()
-        assert cfg.batch_size == 64
+        assert cfg.html_mode == "blocks"
         assert cfg.preprocess.deskew is True
+        # the span stage's batching is the flagship's, not a config key
+        with pytest.raises(ValueError, match="unknown config keys"):
+            load_config(overrides={"batch_size": 64})
 
     def test_yaml_recursive_merge(self, tmp_path):
         p = tmp_path / "job.yaml"
         p.write_text(
-            "batch_size: 8\npreprocess:\n  deskew: false\n  contrast: linear\n")
+            "html_mode: dom\npreprocess:\n  deskew: false\n  contrast: linear\n")
         cfg = load_config(str(p))
-        assert cfg.batch_size == 8
+        assert cfg.html_mode == "dom"
         assert cfg.preprocess.deskew is False
         assert cfg.preprocess.contrast == "linear"
         assert cfg.preprocess.denoise is True  # untouched default survives
 
     def test_cli_overrides_win(self, tmp_path):
         p = tmp_path / "job.yaml"
-        p.write_text("batch_size: 8\noutput_dir: /a\n")
-        cfg = load_config(str(p), overrides={"batch_size": 4, "output_dir": None})
-        assert cfg.batch_size == 4
+        p.write_text("html_mode: dom\noutput_dir: /a\n")
+        cfg = load_config(str(p), overrides={"html_mode": "blocks",
+                                             "output_dir": None})
+        assert cfg.html_mode == "blocks"
         assert cfg.output_dir == "/a"  # None override ignored
 
     def test_unknown_keys_rejected(self, tmp_path):
@@ -67,33 +72,47 @@ class TestCli:
 
 class TestDebugSink:
     def test_save_page_roundtrip(self, tmp_path):
-        img = np.full((20, 30), 255, dtype=np.uint8)
+        from documentprocessor_ray.corpus import MediaStore
+
+        img = np.random.default_rng(5).integers(0, 256, (20, 30),
+                                                dtype=np.uint8)
         words = [{"text": "HI", "box": [1, 2, 3, 4], "confidence": 0.9}]
         save_page(str(tmp_path), "ref-1", img, words)
-        assert os.path.exists(tmp_path / "ref-1.pre.npz8")
+        assert np.array_equal(MediaStore(str(tmp_path)).load("ref-1.pre"), img)
         with open(tmp_path / "ref-1.words.json") as f:
             rec = json.load(f)
         assert rec["n_words"] == 1 and rec["words"][0]["text"] == "HI"
 
-    def test_event_log(self, tmp_path):
-        log_event(str(tmp_path), "batch_done", rows=5)
-        log_event(str(tmp_path), "batch_done", rows=7)
-        log_event(None, "ignored")  # no-op
-        evts = read_events(str(tmp_path))
-        assert [e["rows"] for e in evts] == [5, 7]
+    def test_write_page_round_trip(self, tmp_path):
+        """corpus.write_page writes what MediaStore.load reads back, bit
+        for bit, for 2-D and 3-D pages."""
+        from documentprocessor_ray.corpus import MediaStore, write_page
+
+        rng = np.random.default_rng(6)
+        gray = rng.integers(0, 256, (17, 23), dtype=np.uint8)
+        # a non-contiguous view: the page is written in C order
+        rgb = rng.integers(0, 256, (9, 11, 3), dtype=np.uint8) \
+            .transpose(1, 0, 2)
+        store = MediaStore(str(tmp_path))
+        for ref, page in (("gray", gray), ("rgb", rgb)):
+            write_page(str(tmp_path / f"{ref}.npz8"), page)
+            got = store.load(ref)
+            assert got.dtype == np.uint8 and got.shape == page.shape, ref
+            assert np.array_equal(got, page), ref
 
     def test_debug_tee_in_pipeline(self, ray_session, small_corpus, tmp_path):
         from documentprocessor_ray.pipelines.extract import run_extraction
 
         docs_dir, media_dir = small_corpus
         dbg = str(tmp_path / "dbg")
-        log = str(tmp_path / "log")
-        n = run_extraction(docs_dir, media_dir, debug_dir=dbg, log_dir=log).count()
+        n = run_extraction(docs_dir, media_dir, debug_dir=dbg).count()
         assert n > 0
         pages = [f for f in os.listdir(dbg) if f.endswith(".pre.npz8")]
-        assert len(pages) > 0
-        evts = read_events(log)
-        assert sum(e["media"] for e in evts) == len(pages)
+        # one teed page per media span of the input
+        refs = {s["media_ref"]
+                for spans in pads.dataset(docs_dir).to_table()["spans"]
+                .to_pylist() for s in spans if s["kind"] == "media"}
+        assert refs and {p[: -len(".pre.npz8")] for p in pages} == refs
 
         # reference-parity step artifacts (debug_output.py:24-339): numbered
         # per-step PNGs + bbox overlay + debug_summary.json per media span
